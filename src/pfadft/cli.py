@@ -16,17 +16,27 @@ import sys
 import numpy as np
 
 
+def _is_pair(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(v, (int, float)) for v in entry))
+
+
 def _read_signal(path: str, fmt: str = None):
     fmt = fmt or ("json" if path.endswith(".json") else "csv")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "json":
         obj = json.loads(text)
-        data = np.array([complex(re, im) for re, im in obj["data"]])
+        pairs = obj.get("data") if isinstance(obj, dict) else None
+        if not isinstance(pairs, list) or not all(_is_pair(e) for e in pairs):
+            raise ValueError('JSON signal needs "data": a list of [re, im] number pairs')
+        data = np.array([complex(re, im) for re, im in pairs])
         if obj.get("n") is not None and obj["n"] != len(data):
             raise ValueError("declared n disagrees with data length")
     else:
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        if any(len(r) < 2 for r in rows):
+            raise ValueError("every CSV line needs two fields, re,im")
         data = np.array([complex(float(r[0]), float(r[1])) for r in rows])
     return data, fmt
 
@@ -117,6 +127,9 @@ def _cmd_freqresp(args, out):
     approx = dense_matrix(p)
     exact = dft_matrix(args.n)
     rows = range(args.n) if args.rows == "all" else [int(r) for r in args.rows.split(",")]
+    bad = [r for r in rows if not 0 <= r < args.n]
+    if bad:
+        raise ValueError(f"row {bad[0]} outside 0..{args.n - 1}")
     header = ["row", "omega", "magnitude_db"]
     out_rows = []
     for r in rows:

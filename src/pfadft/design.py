@@ -5,6 +5,8 @@ over a closed interval of expansion factors. Each run of contiguous alpha
 values producing the same matrix is one candidate; candidates are ranked by
 three error figures (total error energy, mean relative entry error,
 deviation from orthogonality) and the optimizer returns the Pareto set.
+Each candidate carries its row-normalizing scale as an ``AssembledScale``,
+the one scale type that kernels and composed plans use as well.
 
 The sweep is deliberately performed in binary64 on a binary64 root-of-unity
 matrix: the reference candidate counts this code reproduces are a property
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import MULTIPLIER_MAX, MULTIPLIER_SET
+from .dyadic import MULTIPLIER_MAX, MULTIPLIER_SET, CsdCode, csd_encode, csd_eval
 from .exactdft import dft_matrix
+from .schedule import OpCount, Schedule, scale_schedule
 
 #: closed expansion-factor interval used by every sweep
 SWEEP_INTERVAL = (0.26, 1.25)
@@ -72,26 +76,67 @@ def _entries_in_set(T: np.ndarray) -> bool:
     return bool(np.all(np.isin(T.real, allowed)) and np.all(np.isin(T.imag, allowed)))
 
 
-@dataclass(frozen=True)
-class ScaleVector:
-    """Per-row positive scale factors stored as exact radicands.
+_SCALE_MODES = ("none", "exact", "csd")
 
-    Row i of the scaled approximation is sqrt(radicands[i]) times row i of
-    the low-complexity matrix; radicands are exact rationals (n over the
-    squared row norm) so no precision is lost before application time.
+
+@dataclass(frozen=True)
+class AssembledScale:
+    """Positive output scale, exact: surd radicands plus optional CSD codes.
+
+    Output i is scaled by sqrt(radicands[i]), an exact rational, so no
+    precision is lost before application time; in csd mode the applied
+    value is instead the code's exact dyadic value.
     """
 
     radicands: tuple
+    mode: str                      # "none" | "exact" | "csd"
+    csd_codes: tuple = None        # per-entry CsdCode or None (unit entries)
 
-    def values(self) -> np.ndarray:
-        return np.sqrt(np.array([float(r) for r in self.radicands]))
+    def __post_init__(self):
+        if self.mode not in _SCALE_MODES:
+            raise ValueError(f"unknown scale mode {self.mode!r}")
 
     def __len__(self):
         return len(self.radicands)
 
+    def values(self) -> np.ndarray:
+        if self.mode == "none":
+            return np.ones(len(self.radicands))
+        if self.mode == "exact":
+            return np.sqrt(np.array([float(r) for r in self.radicands]))
+        return np.array([1.0 if c is None else float(csd_eval(c)) for c in self.csd_codes])
 
-def scale_vector(t: np.ndarray) -> ScaleVector:
-    """Row-normalizing scale for a low-complexity matrix.
+    def nonunit_indices(self):
+        return [i for i, r in enumerate(self.radicands) if r != 1]
+
+    def schedule(self) -> Schedule:
+        vals = self.values()
+        if self.mode == "csd":
+            info = {i: (vals[i], self.csd_codes[i].nonzero_count)
+                    for i in self.nonunit_indices()}
+            return scale_schedule(vals, info)
+        return scale_schedule(vals)
+
+    def op_count(self) -> OpCount:
+        return self.schedule().static_count()
+
+
+@lru_cache(maxsize=None)
+def _csd_for_radicand(radicand: Fraction) -> CsdCode:
+    return csd_encode(float(np.sqrt(float(radicand))))
+
+
+def make_scale(radicands, mode: str) -> AssembledScale:
+    """Attach the requested application mode to exact radicands."""
+    radicands = tuple(Fraction(r) for r in radicands)
+    if mode == "csd":
+        codes = tuple(None if r == 1 else _csd_for_radicand(r) for r in radicands)
+        return AssembledScale(radicands, "csd", codes)
+    return AssembledScale(radicands, mode)
+
+
+def scale_vector(t: np.ndarray) -> AssembledScale:
+    """Row-normalizing scale for a low-complexity matrix, in exact mode.
 
     Entry i is sqrt(n / sum_k |t_ik|^2), the diagonal that restores each
     row to the row norm of the exact transform.
@@ -104,7 +149,7 @@ def scale_vector(t: np.ndarray) -> ScaleVector:
         if s4 == 0:
             raise ValueError(f"row {i} is zero; scale undefined")
         rads.append(Fraction(4 * n, s4))
-    return ScaleVector(tuple(rads))
+    return AssembledScale(tuple(rads), "exact")
 
 
 def error_energy(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -160,7 +205,7 @@ class CandidateApproximation:
     alpha_lo: float
     alpha_hi: float
     t_matrix: np.ndarray
-    scale: ScaleVector
+    scale: AssembledScale
     metrics: ErrorReport
 
     @property
@@ -171,7 +216,7 @@ class CandidateApproximation:
         return self.alpha_lo - 5e-6 <= alpha <= self.alpha_hi + 5e-6
 
 
-def scaled_matrix(t: np.ndarray, scale: ScaleVector) -> np.ndarray:
+def scaled_matrix(t: np.ndarray, scale: AssembledScale) -> np.ndarray:
     return scale.values()[:, None] * t
 
 

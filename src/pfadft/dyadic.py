@@ -81,11 +81,6 @@ class DyadicComplex:
         """True when both parts lie in the multiplier set {0, +-1/2, +-1}."""
         return self.re in MULTIPLIER_SET and self.im in MULTIPLIER_SET
 
-    @staticmethod
-    def from_halves(re2: int, im2: int) -> "DyadicComplex":
-        """Build from twice-the-value integers (entries in halves)."""
-        return DyadicComplex(re2, im2, 1)
-
 
 def round_to_half(x: float) -> float:
     """Quantize to the nearest multiple of 1/2, ties away from zero.

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import accel
-from .schedule import Schedule, compile_stages
+from .schedule import Schedule, compile_stages, run_numpy
 
 FAST_LENGTHS = (3, 11, 31)
 
@@ -62,41 +61,31 @@ def a_stage_matrix(n: int) -> np.ndarray:
 def derive_core(dense: np.ndarray) -> np.ndarray:
     """Conjugate a conjugate-symmetric transform matrix into its core.
 
-    Returns C with dense = A^T C A, where A = diag(1, B_{n-1}). C must come
-    out block-diagonal (real block of order (n+1)/2, imaginary block of
-    order (n-1)/2); anything else means the input lacked the required
-    symmetry and is reported as an error.
+    Returns C with dense = A^T C A, where A = diag(1, B_{n-1}). Since
+    A A^T = D = diag(1, 2, ..., 2), C = D^-1 A dense A^T D^-1. Entries within
+    1e-12 of a multiple of 1/2 are snapped to it: the conjugation reproduces
+    rational core entries (0, +-1/2, +-1) of the exact transforms only to
+    floating precision, and snapping restores them so the schedule compiler
+    classifies them as shifts rather than general multiplications. Matrices
+    with entries in halves come out exact and are left unchanged. C must be
+    block-diagonal (real block of order (n+1)/2, imaginary block of order
+    (n-1)/2); anything else means the input lacked the required symmetry and
+    is reported as an error.
     """
     n = dense.shape[0]
     h = (n - 1) // 2
-    A = a_stage_matrix(n).astype(np.float64)
-    Ainv = np.linalg.inv(A)
-    C = Ainv.T @ dense @ Ainv
-    off = max(np.abs(C[: h + 1, h + 1:]).max(), np.abs(C[h + 1:, : h + 1]).max())
-    im_top = np.abs(C[: h + 1, : h + 1].imag).max()
-    re_bot = np.abs(C[h + 1:, h + 1:].real).max()
-    if max(off, im_top, re_bot) > 1e-12:
+    A = a_stage_matrix(n)
+    d = np.full(n, 0.5)
+    d[0] = 1.0
+    C = d[:, None] * (A @ dense @ A.T) * d
+    for part in (C.real, C.imag):
+        snapped = np.round(2 * part) / 2
+        near = np.abs(part - snapped) <= 1e-12
+        part[near] = snapped[near]
+    if (C[: h + 1, h + 1:].any() or C[h + 1:, : h + 1].any()
+            or C[: h + 1, : h + 1].imag.any() or C[h + 1:, h + 1:].real.any()):
         raise ValueError("matrix does not reduce to a block-diagonal core")
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[: h + 1, : h + 1] = C[: h + 1, : h + 1].real
-    out[h + 1:, h + 1:] = 1j * C[h + 1:, h + 1:].imag
-    return out
-
-
-def _snap_halves(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Snap entries that are within tol of a multiple of 1/2.
-
-    The conjugation above reproduces rational core entries (0, +-1/2, +-1)
-    only to floating precision; snapping restores their exact values so the
-    schedule compiler can classify them as shifts rather than general
-    multiplications.
-    """
-    out = M.copy()
-    for part in (out.real, out.imag):
-        snapped = np.round(part * 2) / 2
-        mask = np.abs(part - snapped) <= tol
-        part[mask] = snapped[mask]
-    return out
+    return C
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +93,7 @@ def exact_fast_schedule(n: int) -> Schedule:
     """Operation schedule for the factorized exact transform."""
     if n not in FAST_LENGTHS:
         raise ValueError(f"no fast exact factorization for n={n}")
-    F = dft_matrix(n)
-    core = _snap_halves(derive_core(F))
+    core = derive_core(dft_matrix(n))
     A = a_stage_matrix(n)
     return compile_stages([A, core, A.T], n)
 
@@ -127,5 +115,5 @@ def fast_exact(n: int, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match n={n}")
     sched = exact_fast_schedule(n)
     if x.ndim == 1:
-        return accel.run(sched, x[:, None])[:, 0]
-    return accel.run(sched, x)
+        return run_numpy(sched, x[:, None])[:, 0]
+    return run_numpy(sched, x)

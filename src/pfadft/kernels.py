@@ -2,10 +2,10 @@
 
 The 3-, 11-, and 31-point kernels are the quantized matrices at expansion
 factor 9/8. Each factors exactly as A^T C A with A = diag(1, B_{n-1}) and C
-block-diagonal over the multiplier set; the factorization is derived here in
-integer arithmetic and validated entrywise against the dense kernel, then
-compiled into an add/shift schedule that both executes the transform and
-yields its operation count.
+block-diagonal over the multiplier set; the core comes from the same
+conjugation that factors the exact transforms, is validated in integer
+arithmetic against the dense kernel, and is compiled into an add/shift
+schedule that both executes the transform and yields its operation count.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import accel
-from .design import candidate_matrix, scale_vector
-from .dyadic import DyadicComplex, csd_encode, csd_eval
-from .exactdft import a_stage_matrix
-from .schedule import OpCount, Schedule, compile_stages, scale_schedule
+from .design import AssembledScale, candidate_matrix, make_scale, scale_vector
+from .dyadic import DyadicComplex
+from .exactdft import a_stage_matrix, derive_core
+from .schedule import OpCount, Schedule, compile_stages, run_numpy
 
 KERNEL_LENGTHS = (3, 11, 31)
 OPTIMAL_ALPHA = 9.0 / 8.0
@@ -62,38 +61,18 @@ class KernelFactorization:
 def factorization(n: int) -> KernelFactorization:
     """Derive the butterfly factorization of kernel(n), exactly.
 
-    With W = diag(1, B_{n-1}), the core is C = W T W^T with rows and columns
-    past the first halved twice; the division is checked to be exact and the
-    result to stay inside the multiplier set.
+    The core is the block-diagonal conjugation of the kernel by
+    diag(1, B_{n-1}) (see :func:`pfadft.exactdft.derive_core`); it is checked
+    to stay inside the multiplier set and to reproduce the kernel exactly.
     """
     T = kernel(n)
-    t2re = np.rint(2 * T.real).astype(np.int64)
-    t2im = np.rint(2 * T.imag).astype(np.int64)
-    W = a_stage_matrix(n)
-    scale = np.ones(n, dtype=np.int64) * 2
-    scale[0] = 1
-    # with grid = W (2T) W^T, core_ij = grid_ij / (2 s_i s_j)
-    den = 2 * np.outer(scale, scale)
-    core = np.zeros((n, n), dtype=np.complex128)
-    for grid, part in ((W @ t2re @ W.T, "re"), (W @ t2im @ W.T, "im")):
-        num = 2 * grid  # twice the core entry, as num/den; must divide exactly
-        if np.any(num % den):
-            raise ValueError("core entries are not multiples of 1/2")
-        vals = (num // den) / 2.0
-        if part == "re":
-            core += vals
-        else:
-            core += 1j * vals
-    h = (n - 1) // 2
-    if np.abs(core[: h + 1, h + 1:]).max() or np.abs(core[h + 1:, : h + 1]).max():
-        raise ValueError("derived core is not block-diagonal")
-    if np.abs(core[: h + 1, : h + 1].imag).max() or np.abs(core[h + 1:, h + 1:].real).max():
-        raise ValueError("derived core blocks are not real/imaginary")
-    bad = set(np.abs(core.real).ravel()) | set(np.abs(core.imag).ravel())
-    if not bad <= {0.0, 0.5, 1.0}:
-        raise ValueError(f"core entries leave the multiplier set: {sorted(bad)}")
-    sched = compile_stages([W, core, W.T], n)
-    fact = KernelFactorization(n, W, core, sched.static_count())
+    A = a_stage_matrix(n)
+    core = derive_core(T)
+    vals = set(np.abs(core.real).ravel()) | set(np.abs(core.imag).ravel())
+    if not vals <= {0.0, 0.5, 1.0}:
+        raise ValueError(f"core entries leave the multiplier set: {sorted(vals)}")
+    sched = compile_stages([A, core, A.T], n)
+    fact = KernelFactorization(n, A, core, sched.static_count())
     if np.abs(fact.dense() - T).max() != 0.0:
         raise ValueError("factorization does not reproduce the dense kernel")
     return fact
@@ -119,69 +98,12 @@ def apply_kernel_fast(n: int, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match n={n}")
     sched = approx_fast_schedule(n)
     if x.ndim == 1:
-        return accel.run(sched, x[:, None])[:, 0]
-    return accel.run(sched, x)
+        return run_numpy(sched, x[:, None])[:, 0]
+    return run_numpy(sched, x)
 
 
 # ---------------------------------------------------------------------------
 # scales
-
-@dataclass(frozen=True)
-class AssembledScale:
-    """Positive output scale, exact: surd radicands plus optional CSD codes.
-
-    radicands[i] is the exact rational whose square root scales output i;
-    in csd mode the applied value is instead the code's exact dyadic value.
-    """
-
-    radicands: tuple
-    mode: str                      # "none" | "exact" | "csd"
-    csd_codes: tuple = None        # per-entry CsdCode or None (unit entries)
-
-    def __post_init__(self):
-        if self.mode not in ("none", "exact", "csd"):
-            raise ValueError(f"unknown scale mode {self.mode!r}")
-
-    def __len__(self):
-        return len(self.radicands)
-
-    def values(self) -> np.ndarray:
-        if self.mode == "none":
-            return np.ones(len(self.radicands))
-        if self.mode == "exact":
-            return np.sqrt(np.array([float(r) for r in self.radicands]))
-        return np.array([1.0 if c is None else float(csd_eval(c)) for c in self.csd_codes])
-
-    def nonunit_indices(self):
-        return [i for i, r in enumerate(self.radicands) if r != 1]
-
-    def schedule(self) -> Schedule:
-        vals = self.values()
-        if self.mode == "csd":
-            info = {i: (vals[i], self.csd_codes[i].nonzero_count)
-                    for i in self.nonunit_indices()}
-            return scale_schedule(vals, info)
-        if self.mode == "exact":
-            return scale_schedule(vals)
-        return scale_schedule(np.ones(len(self.radicands)))
-
-    def op_count(self) -> OpCount:
-        return self.schedule().static_count()
-
-
-@lru_cache(maxsize=None)
-def _csd_for_radicand(radicand: Fraction) -> CsdCode:
-    return csd_encode(float(np.sqrt(float(radicand))))
-
-
-def make_scale(radicands, mode: str) -> AssembledScale:
-    """Attach the requested application mode to exact radicands."""
-    radicands = tuple(Fraction(r) for r in radicands)
-    if mode == "csd":
-        codes = tuple(None if r == 1 else _csd_for_radicand(r) for r in radicands)
-        return AssembledScale(radicands, "csd", codes)
-    return AssembledScale(radicands, mode)
-
 
 @lru_cache(maxsize=None)
 def kernel_eta(n: int) -> Fraction:

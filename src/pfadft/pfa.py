@@ -17,11 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import accel
+from .design import _SCALE_MODES, AssembledScale, make_scale
 from .exactdft import FAST_LENGTHS, exact_definition_schedule, exact_fast_schedule
-from .kernels import (KERNEL_LENGTHS, AssembledScale, approx_fast_schedule,
-                      kernel_eta, make_scale)
-from .schedule import CountingComplex, Tally, run_counting
+from .kernels import KERNEL_LENGTHS, apply_scale, approx_fast_schedule, kernel_eta
+from .schedule import CountingComplex, Tally, run_counting, run_numpy
 
 HYBRID_LEGS = {
     "I": frozenset({3}),
@@ -106,6 +105,10 @@ class ExecutionPlan:
     scale_mode: str            # "none" | "exact" | "csd"
     variant_label: str = ""
 
+    def __post_init__(self):
+        if self.scale_mode not in _SCALE_MODES:
+            raise ValueError(f"unknown scale mode {self.scale_mode!r}")
+
     @property
     def n(self) -> int:
         return tree_length(self.tree)
@@ -181,13 +184,6 @@ def plan(n: int, variant: str) -> ExecutionPlan:
     return ExecutionPlan(_build_tree(factors, kinds), scale_mode, variant)
 
 
-def variant_names(n: int):
-    base = ["exact", "exact-definition", "unscaled", "scaled", "csd"]
-    if n == 1023:
-        base += [f"hybrid-{r}-{s}" for r in HYBRID_LEGS for s in ("scaled", "csd")]
-    return base
-
-
 # ---------------------------------------------------------------------------
 # scale assembly
 
@@ -244,6 +240,9 @@ def _run_tree(tree, arr, runner):
 def execute(plan_: ExecutionPlan, x) -> np.ndarray:
     """Run a plan on a signal (or a batch of column signals)."""
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2):
+        raise ValueError("input must be a 1-D signal or a 2-D batch of column signals, "
+                         f"got a {x.ndim}-D array")
     single = x.ndim == 1
     if single:
         x = x[:, None]
@@ -251,9 +250,9 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    y = _run_tree(plan_.tree, x, accel.run)
+    y = _run_tree(plan_.tree, x, run_numpy)
     if plan_.scale_mode != "none":
-        y = assemble_scale(plan_).values()[:, None] * y
+        y = apply_scale(assemble_scale(plan_), y)
     return y[:, 0] if single else y
 
 
@@ -308,7 +307,7 @@ def dense_matrix(plan_: ExecutionPlan) -> np.ndarray:
     """Full matrix of the plan, scale included (binary64)."""
     M = _dense_tree(plan_.tree)
     if plan_.scale_mode != "none":
-        M = assemble_scale(plan_).values()[:, None] * M
+        M = apply_scale(assemble_scale(plan_), M)
     return M
 
 
@@ -341,12 +340,19 @@ def plan_to_json(plan_: ExecutionPlan) -> str:
 
 def plan_from_json(text: str) -> ExecutionPlan:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("plan must be a JSON object")
+    missing = [k for k in ("n", "tree", "kernels") if k not in obj]
+    if missing:
+        raise ValueError(f"plan lacks {', '.join(missing)}")
     kinds = {int(k): v for k, v in obj["kernels"].items()}
 
     def build(node):
         if isinstance(node, int):
+            if node not in kinds:
+                raise ValueError(f"no kernel kind given for leaf {node}")
             return Leaf(node, kinds[node])
-        if len(node) != 2:
+        if not isinstance(node, list) or len(node) != 2:
             raise ValueError("tree nodes must be [left, right]")
         return Node(build(node[0]), build(node[1]))
 

@@ -1,11 +1,12 @@
 """Static add/shift/multiply schedules for transform kernels.
 
 A kernel's fast algorithm is compiled once from its stage matrices into a
-flat operation list. The same list drives three consumers: the vectorized
-numpy executor, the compiled executor in :mod:`pfadft.accel`, and the
-instrumented executor that threads a counting scalar through the identical
-operation stream. Static operation counts are folded directly off the list,
-so execution and accounting can never drift apart.
+flat operation list. One table keyed by opcode gives each operation its
+static cost, its vectorized numpy action and its counting action, so the
+same list drives the numpy executor, the instrumented executor that threads
+a counting scalar through the identical operation stream, and the static
+operation count. The counting scalar meters its own arithmetic, which keeps
+the instrumented count an independent check on the static one.
 
 Cost conventions (used repo-wide):
   * multiplications by 0 or +-1 or +-j are free,
@@ -22,6 +23,7 @@ Cost conventions (used repo-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,26 +71,6 @@ class OpCount:
         return (self.real_mults, self.real_adds, self.bit_shifts)
 
 
-def _op_cost(op: Op) -> OpCount:
-    if op.code in (CP, MULJ):
-        return OpCount()
-    if op.code in (ADD, SUB):
-        return OpCount(0, 2, 0)
-    if op.code in (HALF, JHALF):
-        return OpCount(0, 0, 2)
-    if op.code == LC:
-        shifts = (2 if abs(op.p) == 0.5 else 0) + (2 if abs(op.q) == 0.5 else 0)
-        return OpCount(0, 2, shifts)
-    if op.code in (MULRE, MULIM):
-        return OpCount(2, 0, 0)
-    if op.code == MULCC:
-        return OpCount(3, 3, 0)
-    if op.code == CSDMUL:
-        k = int(op.q)
-        return OpCount(0, 2 * (k - 1), 2 * (k - 1))
-    raise ValueError(f"unknown opcode {op.code}")
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Flat operation list mapping n_in input slots to n_out output slots."""
@@ -102,7 +84,7 @@ class Schedule:
     def static_count(self) -> OpCount:
         total = OpCount()
         for op in self.ops:
-            total = total + _op_cost(op)
+            total = total + _OPCODES[op.code].cost(op)
         return total
 
 
@@ -192,46 +174,6 @@ def scale_schedule(values, csd_info=None) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# executors
-
-def run_numpy(sched: Schedule, x: np.ndarray) -> np.ndarray:
-    """Reference vectorized executor over a (n_in, batch) complex block."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    slots = np.zeros((sched.n_slots, x.shape[1]), dtype=np.complex128)
-    slots[: sched.n_in] = x
-    for op in sched.ops:
-        c = op.code
-        if c == CP:
-            slots[op.dst] = slots[op.src1] if op.p > 0 else -slots[op.src1]
-        elif c == ADD:
-            np.add(slots[op.src1], slots[op.src2], out=slots[op.dst])
-        elif c == SUB:
-            np.subtract(slots[op.src1], slots[op.src2], out=slots[op.dst])
-        elif c == HALF:
-            np.multiply(slots[op.src1], 0.5 * op.p, out=slots[op.dst])
-        elif c == MULJ:
-            np.multiply(slots[op.src1], 1j * op.p, out=slots[op.dst])
-        elif c == JHALF:
-            np.multiply(slots[op.src1], 0.5j * op.p, out=slots[op.dst])
-        elif c == LC:
-            np.multiply(slots[op.src1], complex(op.p, op.q), out=slots[op.dst])
-        elif c == MULRE:
-            np.multiply(slots[op.src1], op.p, out=slots[op.dst])
-        elif c == MULIM:
-            np.multiply(slots[op.src1], 1j * op.p, out=slots[op.dst])
-        elif c == MULCC:
-            z = slots[op.src1]
-            # spelled out so the result is reproducible across executors
-            # (vectorized complex multiply may fuse operations)
-            slots[op.dst] = (z.real * op.p - z.imag * op.q) + 1j * (z.real * op.q + z.imag * op.p)
-        elif c == CSDMUL:
-            np.multiply(slots[op.src1], op.p, out=slots[op.dst])
-        else:
-            raise ValueError(f"unknown opcode {c}")
-    return slots[sched.out_base: sched.out_base + sched.n_out].copy()
-
-
-# ---------------------------------------------------------------------------
 # instrumented execution
 
 class Tally:
@@ -314,39 +256,90 @@ class CountingComplex:
         return complex(self.re, self.im)
 
 
+# ---------------------------------------------------------------------------
+# opcode table and executors
+
+class _OpKind(NamedTuple):
+    cost: Callable    # op -> static OpCount
+    numpy: Callable   # (slots, op) -> None, writes slots[op.dst] through out=
+    count: Callable   # (slots, op) -> row of metered scalars for slots[op.dst]
+
+
+_FREE = OpCount()
+_ADDS = OpCount(0, 2, 0)
+_SHIFTS = OpCount(0, 0, 2)
+_MULTS = OpCount(2, 0, 0)
+
+
+def _lc_cost(op: Op) -> OpCount:
+    return OpCount(0, 2, (2 if abs(op.p) == 0.5 else 0) + (2 if abs(op.q) == 0.5 else 0))
+
+
+def _csd_cost(op: Op) -> OpCount:
+    k = int(op.q)
+    return OpCount(0, 2 * (k - 1), 2 * (k - 1))
+
+
+def _np_mulcc(s, op):
+    z = s[op.src1]
+    # spelled out so the result does not depend on how the vectorized
+    # complex multiply fuses its operations
+    np.add(z.real * op.p - z.imag * op.q, 1j * (z.real * op.q + z.imag * op.p), out=s[op.dst])
+
+
+_OPCODES = {
+    CP: _OpKind(lambda op: _FREE,
+                lambda s, op: (np.copyto(s[op.dst], s[op.src1]) if op.p > 0
+                               else np.negative(s[op.src1], out=s[op.dst])),
+                lambda s, op: s[op.src1] if op.p > 0 else [-v for v in s[op.src1]]),
+    ADD: _OpKind(lambda op: _ADDS,
+                 lambda s, op: np.add(s[op.src1], s[op.src2], out=s[op.dst]),
+                 lambda s, op: [u + v for u, v in zip(s[op.src1], s[op.src2])]),
+    SUB: _OpKind(lambda op: _ADDS,
+                 lambda s, op: np.subtract(s[op.src1], s[op.src2], out=s[op.dst]),
+                 lambda s, op: [u - v for u, v in zip(s[op.src1], s[op.src2])]),
+    HALF: _OpKind(lambda op: _SHIFTS,
+                  lambda s, op: np.multiply(s[op.src1], 0.5 * op.p, out=s[op.dst]),
+                  lambda s, op: [v.halve(op.p) for v in s[op.src1]]),
+    MULJ: _OpKind(lambda op: _FREE,
+                  lambda s, op: np.multiply(s[op.src1], 1j * op.p, out=s[op.dst]),
+                  lambda s, op: [v.mulj(op.p) for v in s[op.src1]]),
+    JHALF: _OpKind(lambda op: _SHIFTS,
+                   lambda s, op: np.multiply(s[op.src1], 0.5j * op.p, out=s[op.dst]),
+                   lambda s, op: [v.jhalve(op.p) for v in s[op.src1]]),
+    LC: _OpKind(_lc_cost,
+                lambda s, op: np.multiply(s[op.src1], complex(op.p, op.q), out=s[op.dst]),
+                lambda s, op: [v.mul_lc(op.p, op.q) for v in s[op.src1]]),
+    MULRE: _OpKind(lambda op: _MULTS,
+                   lambda s, op: np.multiply(s[op.src1], op.p, out=s[op.dst]),
+                   lambda s, op: [v.mul_re(op.p) for v in s[op.src1]]),
+    MULIM: _OpKind(lambda op: _MULTS,
+                   lambda s, op: np.multiply(s[op.src1], 1j * op.p, out=s[op.dst]),
+                   lambda s, op: [v.mul_im(op.p) for v in s[op.src1]]),
+    MULCC: _OpKind(lambda op: OpCount(3, 3, 0),
+                   _np_mulcc,
+                   lambda s, op: [v.mul_cc(op.p, op.q) for v in s[op.src1]]),
+    CSDMUL: _OpKind(_csd_cost,
+                    lambda s, op: np.multiply(s[op.src1], op.p, out=s[op.dst]),
+                    lambda s, op: [v.mul_csd(op.p, int(op.q)) for v in s[op.src1]]),
+}
+
+
+def run_numpy(sched: Schedule, x: np.ndarray) -> np.ndarray:
+    """Vectorized executor over a (n_in, batch) complex block."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    slots = np.zeros((sched.n_slots, x.shape[1]), dtype=np.complex128)
+    slots[: sched.n_in] = x
+    for op in sched.ops:
+        _OPCODES[op.code].numpy(slots, op)
+    return slots[sched.out_base: sched.out_base + sched.n_out].copy()
+
+
 def run_counting(sched: Schedule, x) -> np.ndarray:
     """Instrumented executor over a (n_in, batch) object array of scalars."""
     x = np.asarray(x, dtype=object)
-    batch = x.shape[1]
-    slots = np.empty((sched.n_slots, batch), dtype=object)
+    slots = np.empty((sched.n_slots, x.shape[1]), dtype=object)
     slots[: sched.n_in] = x
     for op in sched.ops:
-        c = op.code
-        src = slots[op.src1]
-        if c == CP:
-            slots[op.dst] = src if op.p > 0 else [-v for v in src]
-        elif c == ADD:
-            a, b = slots[op.src1], slots[op.src2]
-            slots[op.dst] = [u + v for u, v in zip(a, b)]
-        elif c == SUB:
-            a, b = slots[op.src1], slots[op.src2]
-            slots[op.dst] = [u - v for u, v in zip(a, b)]
-        elif c == HALF:
-            slots[op.dst] = [v.halve(op.p) for v in src]
-        elif c == MULJ:
-            slots[op.dst] = [v.mulj(op.p) for v in src]
-        elif c == JHALF:
-            slots[op.dst] = [v.jhalve(op.p) for v in src]
-        elif c == LC:
-            slots[op.dst] = [v.mul_lc(op.p, op.q) for v in src]
-        elif c == MULRE:
-            slots[op.dst] = [v.mul_re(op.p) for v in src]
-        elif c == MULIM:
-            slots[op.dst] = [v.mul_im(op.p) for v in src]
-        elif c == MULCC:
-            slots[op.dst] = [v.mul_cc(op.p, op.q) for v in src]
-        elif c == CSDMUL:
-            slots[op.dst] = [v.mul_csd(op.p, int(op.q)) for v in src]
-        else:
-            raise ValueError(f"unknown opcode {c}")
+        slots[op.dst] = _OPCODES[op.code].count(slots, op)
     return slots[sched.out_base: sched.out_base + sched.n_out].copy()

@@ -60,6 +60,22 @@ class TestTransform:
                        "--input", str(src), "--output", str(tmp_path / "o.json")])
         assert rc == 1
 
+    def test_json_entry_not_a_pair_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"n": 3, "data": [1.0, 0.0, 0.0]}))
+        rc = cli_main(["transform", "--n", "3", "--variant", "exact",
+                       "--input", str(src), "--output", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_short_csv_line_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        src.write_text("1.0,0.0\n2.0\n3.0,0.0\n")
+        rc = cli_main(["transform", "--n", "3", "--variant", "exact",
+                       "--input", str(src), "--output", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_variant_is_runtime_error(self, tmp_path):
         src = tmp_path / "x.json"
         _write_signal_json(src, np.ones(3))
@@ -125,6 +141,14 @@ class TestReports:
         assert rows[0] == ["row", "omega", "magnitude_db"]
         assert len(rows) == 65
         assert max(float(r[2]) for r in rows[1:]) <= -17.0
+
+    @pytest.mark.parametrize("row", ["99", "-1"])
+    def test_freqresp_row_outside_transform_rejected(self, row, capsys):
+        rc = cli_main(["freqresp", "--n", "31", "--variant", "csd",
+                       "--rows", row, "--grid", "64", "--format", "csv"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex
+from pfadft.complexity import count_plan
 from pfadft.exactdft import dft_direct, dft_matrix
-from pfadft.pfa import (Leaf, Node, assemble_scale, build_index_maps,
-                        crt_coefficients, dense_matrix, execute,
-                        instrumented_count, plan, plan_from_json,
+from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
+                        build_index_maps, crt_coefficients, dense_matrix,
+                        execute, instrumented_count, plan, plan_from_json,
                         plan_to_json, unscaled)
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
@@ -153,6 +155,32 @@ class TestPlans:
             plan_from_json('{"n": 10, "tree": [3, 2], "kernels": {"3": "exact", "2": "exact"}, "scale": "none"}')
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("x", [5.0, np.zeros((33, 2, 2))], ids=["0-D", "3-D"])
+    def test_execute_rejects_other_ranks(self, x):
+        with pytest.raises(ValueError, match="1-D signal or a 2-D batch"):
+            execute(plan(33, "exact"), x)
+
+    def test_plan_rejects_unknown_scale_mode(self):
+        with pytest.raises(ValueError):
+            ExecutionPlan(Leaf(3, "approx"), "bogus")
+
+    def test_json_rejects_unknown_scale_mode(self):
+        with pytest.raises(ValueError):
+            plan_from_json('{"n": 3, "tree": 3, "kernels": {"3": "approx"}, "scale": "bogus"}')
+
+    @pytest.mark.parametrize("key", ["n", "tree", "kernels"])
+    def test_json_missing_key_rejected(self, key):
+        obj = {"n": 33, "tree": [11, 3], "kernels": {"11": "exact", "3": "approx"}}
+        del obj[key]
+        with pytest.raises(ValueError):
+            plan_from_json(json.dumps(obj))
+
+    def test_json_leaf_without_kind_rejected(self):
+        with pytest.raises(ValueError):
+            plan_from_json('{"n": 33, "tree": [11, 3], "kernels": {"11": "exact"}}')
+
+
 class TestAssembledScale:
     def test_1023_piecewise_formula(self):
         rads = assemble_scale(plan(1023, "scaled")).radicands
@@ -271,3 +299,39 @@ def test_impulse_columns_match_dense(k):
     x = np.zeros(1023)
     x[k] = 1.0
     assert np.abs(execute(p, x) - M[:, k]).max() <= 1e-12
+
+
+# Leaf lengths for random plans; approximate kernels exist only for 3, 11, 31.
+TREE_LENGTHS = (2, 3, 4, 5, 7, 11, 31)
+
+
+@st.composite
+def coprime_plans(draw):
+    """JSON plans over random coprime factor trees, leaf kinds and scales."""
+    factors = []
+    for f in draw(st.permutations(TREE_LENGTHS))[: draw(st.integers(1, 4))]:
+        if math.gcd(f, math.prod(factors)) == 1 and math.prod(factors) * f <= 1023:
+            factors.append(f)
+
+    def shape(fs):
+        if len(fs) == 1:
+            return fs[0]
+        k = draw(st.integers(1, len(fs) - 1))
+        return [shape(fs[:k]), shape(fs[k:])]
+
+    kinds = {str(f): draw(st.sampled_from(
+        ("approx", "exact", "definition") if f in (3, 11, 31) else ("exact", "definition")))
+        for f in factors}
+    scale = draw(st.sampled_from(("none", "exact", "csd")))
+    return json.dumps({"n": math.prod(factors), "tree": shape(factors),
+                       "kernels": kinds, "scale": scale})
+
+
+@settings(deadline=None, max_examples=30)
+@given(coprime_plans(), st.integers(0, 2 ** 32 - 1))
+def test_random_trees_match_dense_and_counts(text, seed):
+    p = plan_from_json(text)
+    x = random_complex(np.random.default_rng(seed), p.n, 3)
+    want = dense_matrix(p) @ x
+    assert np.linalg.norm(execute(p, x) - want) <= 1e-12 * np.linalg.norm(want)
+    assert count_plan(p) == instrumented_count(p)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pfadft import accel
 from pfadft.schedule import (CountingComplex, OpCount, Tally, compile_stages,
                              run_counting, run_numpy, scale_schedule)
 
@@ -28,17 +27,6 @@ def test_compiled_schedule_matches_matrix_product(rng):
     want = stages[1] @ (stages[0] @ x)
     got = run_numpy(sched, x)
     assert np.allclose(got, want, atol=1e-14)
-
-
-def test_numba_path_is_bit_identical(rng):
-    stages = _random_stages(rng)
-    sched = compile_stages(stages, 3)
-    x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    ref = run_numpy(sched, x)
-    got = accel.run(sched, x)
-    if accel.NUMBA_DISABLED or not accel.HAVE_NUMBA:
-        pytest.skip("numba path not active in this environment")
-    assert np.array_equal(got, ref)
 
 
 def test_static_count_conventions(rng):
@@ -103,14 +91,3 @@ def test_opcount_algebra():
     assert 3 * a == OpCount(3, 6, 9)
     assert a.as_tuple() == (1, 2, 3)
 
-
-def test_disable_flag_selects_numpy_path():
-    import os
-    import subprocess
-    import sys
-    env = dict(os.environ, PFADFT_DISABLE_NUMBA="1")
-    code = ("from pfadft import accel; "
-            "print(accel.NUMBA_DISABLED and accel.run is not None)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True"
