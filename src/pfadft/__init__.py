@@ -7,13 +7,13 @@ error/frequency-response analysis tooling to validate them.
 
 from .analysis import (cosine_probe, filter_response, response_error_curve,
                        row_error_table, worst_rows)
-from .complexity import complexity_report, count_kernel, count_plan
-from .design import (alpha_interval, candidate_matrix, error_energy, mape,
-                     orth_deviation, scale_vector, select_optimal, sweep_alpha)
+from .complexity import complexity_report, count_plan
+from .design import (alpha_interval, apply_scale, candidate_matrix,
+                     error_energy, mape, orth_deviation, scale_vector,
+                     select_optimal, sweep_alpha)
 from .dyadic import CsdCode, DyadicComplex, csd_encode, csd_eval, round_to_half
 from .exactdft import dft_direct, dft_matrix, fast_exact
-from .kernels import (apply_kernel_fast, apply_scale, factorization, kernel,
-                      kernel_scale, kernel_to_json)
+from .kernels import apply_kernel_fast, factorization, kernel, kernel_to_json
 from .pfa import (ExecutionPlan, assemble_scale, build_index_maps,
                   crt_coefficients, dense_matrix, execute, instrumented_count,
                   plan, plan_from_json, plan_to_json, unscaled)
@@ -25,10 +25,10 @@ __all__ = [
     "CsdCode", "DyadicComplex", "ExecutionPlan", "OpCount",
     "alpha_interval", "apply_kernel_fast", "apply_scale", "assemble_scale",
     "build_index_maps", "candidate_matrix", "complexity_report",
-    "cosine_probe", "count_kernel", "count_plan", "crt_coefficients",
+    "cosine_probe", "count_plan", "crt_coefficients",
     "csd_encode", "csd_eval", "dense_matrix", "dft_direct", "dft_matrix",
     "error_energy", "execute", "factorization", "fast_exact",
-    "filter_response", "instrumented_count", "kernel", "kernel_scale",
+    "filter_response", "instrumented_count", "kernel",
     "kernel_to_json", "mape", "orth_deviation", "plan", "plan_from_json",
     "plan_to_json", "response_error_curve", "round_to_half",
     "row_error_table", "scale_vector", "select_optimal", "sweep_alpha",

@@ -1,8 +1,12 @@
-"""Operation accounting for kernels and full plans.
+"""Operation accounting for plans, ground kernels included.
 
 Counts come from two independent routes that the tests require to agree:
 static folds over the operation schedules, and instrumented runs that
-thread a counting scalar through the execution path. Comparison rows for
+thread a counting scalar through the execution path. The static count of a
+plan is a sum over its leaves: a leaf of length n_leaf runs n / n_leaf
+times, whatever the tree's shape, so it contributes n / n_leaf times its
+schedule's cost; the output scale's schedule adds its own cost. A ground
+kernel is the one-leaf plan ``plan(n, variant)``. Comparison rows for
 power-of-two algorithms we do not implement are stored constants and are
 flagged as such in every report.
 """
@@ -11,58 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactdft import exact_definition_schedule, exact_fast_schedule
-from .kernels import approx_dense_schedule, approx_fast_schedule, kernel_scale
-from .pfa import ExecutionPlan, Leaf, Node, assemble_scale, instrumented_count, leaf_schedule, plan
+from .pfa import ExecutionPlan, assemble_scale, leaf_schedule, plan, tree_leaves
 from .schedule import OpCount
-
-KERNEL_KINDS = ("approx", "exact", "definition")
-
-
-def count_kernel(n: int, kind: str = "approx", scale_mode: str = "none",
-                 factorized: bool = True) -> OpCount:
-    """Static operation count of one ground transform.
-
-    ``kind`` picks the matrix (approximate kernel or exact DFT), ``factorized``
-    the butterfly schedule versus the dense row sums, and ``scale_mode`` adds
-    the per-output scale cost for approximate kernels.
-    """
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    if kind == "approx":
-        sched = approx_fast_schedule(n) if factorized else approx_dense_schedule(n)
-        total = sched.static_count()
-        if scale_mode != "none":
-            total = total + kernel_scale(n, scale_mode).op_count()
-        return total
-    if scale_mode != "none":
-        raise ValueError("exact kernels carry no scale")
-    if kind == "definition" or not factorized:
-        return exact_definition_schedule(n).static_count()
-    return exact_fast_schedule(n).static_count()
-
-
-def instrumented_kernel_count(n: int, kind: str = "approx",
-                              scale_mode: str = "none") -> OpCount:
-    """Measured count from an instrumented single-kernel execution."""
-    variant = {"approx": {"none": "unscaled", "exact": "scaled", "csd": "csd"},
-               "exact": {"none": "exact"},
-               "definition": {"none": "exact-definition"}}[kind][scale_mode]
-    return instrumented_count(plan(n, variant))
-
-
-def _count_tree(tree) -> OpCount:
-    if isinstance(tree, Leaf):
-        return leaf_schedule(tree).static_count()
-    from .pfa import tree_length
-    n1 = tree_length(tree.left)
-    n2 = tree_length(tree.right)
-    return n1 * _count_tree(tree.right) + n2 * _count_tree(tree.left)
 
 
 def count_plan(plan_: ExecutionPlan) -> OpCount:
-    """Static count of a full plan: leaf calls times leaf costs plus scale."""
-    total = _count_tree(plan_.tree)
+    """Static count of a plan: each leaf's runs times its cost, plus the scale."""
+    n = plan_.n
+    total = sum(((n // leaf.n) * leaf_schedule(leaf).static_count()
+                 for leaf in tree_leaves(plan_.tree)), OpCount())
     if plan_.scale_mode != "none":
         total = total + assemble_scale(plan_).op_count()
     return total
@@ -91,11 +52,11 @@ REFERENCE_ROWS = (
 )
 
 _GROUND_ROWS = (
-    ("definition", "none", False, "F_{n} (definition)"),
-    ("exact", "none", True, "F_{n} (fast)"),
-    ("approx", "none", True, "T*_{n}"),
-    ("approx", "exact", True, "F*_{n}"),
-    ("approx", "csd", True, "F'_{n}"),
+    ("exact-definition", "F_{n} (definition)"),
+    ("exact", "F_{n} (fast)"),
+    ("unscaled", "T*_{n}"),
+    ("scaled", "F*_{n}"),
+    ("csd", "F'_{n}"),
 )
 
 COMPOSED_VARIANTS = (
@@ -116,9 +77,8 @@ COMPOSED_VARIANTS = (
 def ground_report():
     rows = []
     for n in (3, 11, 31):
-        for kind, scale, factorized, label in _GROUND_ROWS:
-            rows.append(ReportRow(n, label.format(n=n),
-                                  count_kernel(n, kind, scale, factorized), "computed"))
+        for variant, label in _GROUND_ROWS:
+            rows.append(ReportRow(n, label.format(n=n), count_plan(plan(n, variant)), "computed"))
     return rows
 
 

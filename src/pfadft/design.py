@@ -6,7 +6,10 @@ values producing the same matrix is one candidate; candidates are ranked by
 three error figures (total error energy, mean relative entry error,
 deviation from orthogonality) and the optimizer returns the Pareto set.
 Each candidate carries its row-normalizing scale as an ``AssembledScale``,
-the one scale type that kernels and composed plans use as well.
+the one scale type that composed plans use as well: a plan's radicands come
+from the residue rule in ``pfadft.pfa``, one per output. A scale evaluates
+each distinct radicand or CSD code once, when it is built, and
+``apply_scale`` is the one way to apply it to a spectrum or matrix rows.
 
 The sweep is deliberately performed in binary64 on a binary64 root-of-unity
 matrix: the reference candidate counts this code reproduces are a property
@@ -17,7 +20,7 @@ differ in the last ulp, which splits one candidate in two for n = 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,26 +88,33 @@ class AssembledScale:
 
     Output i is scaled by sqrt(radicands[i]), an exact rational, so no
     precision is lost before application time; in csd mode the applied
-    value is instead the code's exact dyadic value.
+    value is instead the code's exact dyadic value. The float values are
+    evaluated at construction, once per distinct radicand or code, and
+    ``values()`` returns that stored read-only array.
     """
 
     radicands: tuple
     mode: str                      # "none" | "exact" | "csd"
     csd_codes: tuple = None        # per-entry CsdCode or None (unit entries)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in _SCALE_MODES:
             raise ValueError(f"unknown scale mode {self.mode!r}")
+        if self.mode == "none":
+            vals = np.ones(len(self.radicands))
+        elif self.mode == "exact":
+            vals = _each_once(self.radicands, lambda r: np.sqrt(float(r)))
+        else:
+            vals = _each_once(self.csd_codes, lambda c: 1.0 if c is None else float(csd_eval(c)))
+        vals.flags.writeable = False
+        object.__setattr__(self, "_values", vals)
 
     def __len__(self):
         return len(self.radicands)
 
     def values(self) -> np.ndarray:
-        if self.mode == "none":
-            return np.ones(len(self.radicands))
-        if self.mode == "exact":
-            return np.sqrt(np.array([float(r) for r in self.radicands]))
-        return np.array([1.0 if c is None else float(csd_eval(c)) for c in self.csd_codes])
+        return self._values
 
     def nonunit_indices(self):
         return [i for i, r in enumerate(self.radicands) if r != 1]
@@ -121,6 +131,12 @@ class AssembledScale:
         return self.schedule().static_count()
 
 
+def _each_once(keys, evaluate) -> np.ndarray:
+    """Float array of evaluate(k) for every key, evaluating each distinct key once."""
+    value = {k: evaluate(k) for k in set(keys)}
+    return np.array([value[k] for k in keys], dtype=np.float64)
+
+
 @lru_cache(maxsize=None)
 def _csd_for_radicand(radicand: Fraction) -> CsdCode:
     return csd_encode(float(np.sqrt(float(radicand))))
@@ -133,6 +149,15 @@ def make_scale(radicands, mode: str) -> AssembledScale:
         codes = tuple(None if r == 1 else _csd_for_radicand(r) for r in radicands)
         return AssembledScale(radicands, "csd", codes)
     return AssembledScale(radicands, mode)
+
+
+def apply_scale(scale: AssembledScale, x) -> np.ndarray:
+    """Scale entry (or row) i of a spectrum (or matrix) by the scale's value i."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[0] != len(scale):
+        raise ValueError("scale and vector lengths differ")
+    vals = scale.values()
+    return vals[:, None] * x if x.ndim > 1 else vals * x
 
 
 def scale_vector(t: np.ndarray) -> AssembledScale:
@@ -216,10 +241,6 @@ class CandidateApproximation:
         return self.alpha_lo - 5e-6 <= alpha <= self.alpha_hi + 5e-6
 
 
-def scaled_matrix(t: np.ndarray, scale: AssembledScale) -> np.ndarray:
-    return scale.values()[:, None] * t
-
-
 def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
     """Scan the expansion factor and return the distinct valid candidates.
 
@@ -255,7 +276,7 @@ def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
         if not _entries_in_set(T):
             continue
         sc = scale_vector(T)
-        A = scaled_matrix(T, sc)
+        A = apply_scale(sc, T)
         rep = ErrorReport(error_energy(A, F), mape(A, F), orth_deviation(A))
         out.append(CandidateApproximation(float(alphas[s0]), float(alphas[s1]), T, sc, rep))
     return out

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import AssembledScale, candidate_matrix, make_scale, scale_vector
+from .design import candidate_matrix, scale_vector
 from .dyadic import DyadicComplex
 from .exactdft import a_stage_matrix, derive_core
 from .schedule import OpCount, Schedule, compile_stages, run_numpy
@@ -40,12 +40,16 @@ def kernel(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelFactorization:
-    """A^T C A decomposition of a dense kernel, with its operation count."""
+    """A^T C A decomposition of a dense kernel, with its compiled schedule."""
 
     n: int
     a_matrix: np.ndarray      # integer butterfly stage diag(1, B_{n-1})
     core: np.ndarray          # block-diagonal complex core, entries in halves
-    op_count: OpCount
+    schedule: Schedule        # add/shift schedule of [A, C, A^T]
+
+    @property
+    def op_count(self) -> OpCount:
+        return self.schedule.static_count()
 
     def dense(self) -> np.ndarray:
         """Exact dense expansion of the factorization (integer arithmetic)."""
@@ -71,18 +75,15 @@ def factorization(n: int) -> KernelFactorization:
     vals = set(np.abs(core.real).ravel()) | set(np.abs(core.imag).ravel())
     if not vals <= {0.0, 0.5, 1.0}:
         raise ValueError(f"core entries leave the multiplier set: {sorted(vals)}")
-    sched = compile_stages([A, core, A.T], n)
-    fact = KernelFactorization(n, A, core, sched.static_count())
+    fact = KernelFactorization(n, A, core, compile_stages([A, core, A.T], n))
     if np.abs(fact.dense() - T).max() != 0.0:
         raise ValueError("factorization does not reproduce the dense kernel")
     return fact
 
 
-@lru_cache(maxsize=None)
 def approx_fast_schedule(n: int) -> Schedule:
     """Add/shift schedule of the factorized kernel."""
-    f = factorization(n)
-    return compile_stages([f.a_matrix, f.core, f.a_matrix.T], n)
+    return factorization(n).schedule
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +104,7 @@ def apply_kernel_fast(n: int, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scales
+# scale radicand
 
 @lru_cache(maxsize=None)
 def kernel_eta(n: int) -> Fraction:
@@ -113,21 +114,6 @@ def kernel_eta(n: int) -> Fraction:
     if rads[0] != 1 or len(set(rads[1:])) != 1:
         raise ValueError("kernel scale does not have the diag(1, sqrt(eta) I) form")
     return rads[1]
-
-
-def kernel_scale(n: int, mode: str = "exact") -> AssembledScale:
-    """Scale vector (1, sqrt(eta), ..., sqrt(eta)) of a ground kernel."""
-    eta = kernel_eta(n)
-    return make_scale((Fraction(1),) + (eta,) * (n - 1), mode)
-
-
-def apply_scale(scale: AssembledScale, x) -> np.ndarray:
-    """Entrywise real-times-complex scaling of a spectrum."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != len(scale):
-        raise ValueError("scale and vector lengths differ")
-    vals = scale.values()
-    return vals[:, None] * x if x.ndim > 1 else vals * x
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,33 @@ kernel choice at each leaf and a scale mode applied once at the top. Index
 permutations come from the Chinese remainder theorem, so no intermediate
 root-of-unity multipliers appear anywhere in the composition; an all-leaf
 approximate plan therefore runs on additions and bit-shifts alone.
+
+What a plan computes depends on its leaf set, not on the tree's shape.
+Entry (K, k) of the composed matrix is the product over the leaves of
+entry (K * u mod n_leaf, k mod n_leaf) of the leaf's matrix, where u is
+the inverse of n / n_leaf modulo n_leaf, and each leaf runs n / n_leaf
+times. So a leaf's DC row lands exactly on the outputs K with
+K mod n_leaf = 0. An approximate kernel's scale is
+diag(1, sqrt(eta), ..., sqrt(eta)), so the radicand of output K is the
+product of eta over the approximate leaves whose length does not divide K
+(the residue rule). The tree shape only sets the order of the leaf calls
+and, for exact leaves, the floating-point rounding.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .design import _SCALE_MODES, AssembledScale, make_scale
+from .design import _SCALE_MODES, AssembledScale, apply_scale, make_scale
 from .exactdft import FAST_LENGTHS, exact_definition_schedule, exact_fast_schedule
-from .kernels import KERNEL_LENGTHS, apply_scale, approx_fast_schedule, kernel_eta
+from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel_eta
 from .schedule import CountingComplex, Tally, run_counting, run_numpy
 
 HYBRID_LEGS = {
@@ -79,6 +91,8 @@ class Leaf:
     kind: str  # "approx" | "exact" | "definition"
 
     def __post_init__(self):
+        if not _is_integer(self.n) or self.n < 1:
+            raise ValueError(f"leaf length must be a positive integer, got {self.n!r}")
         if self.kind not in ("approx", "exact", "definition"):
             raise ValueError(f"unknown leaf kind {self.kind!r}")
         if self.kind == "approx" and self.n not in KERNEL_LENGTHS:
@@ -95,8 +109,17 @@ class Node:
             raise ValueError("node factors must be coprime")
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def tree_length(t) -> int:
     return t.n if isinstance(t, Leaf) else tree_length(t.left) * tree_length(t.right)
+
+
+def tree_leaves(t) -> tuple:
+    """The leaves of a plan tree, left to right."""
+    return (t,) if isinstance(t, Leaf) else tree_leaves(t.left) + tree_leaves(t.right)
 
 
 @dataclass(frozen=True)
@@ -187,29 +210,25 @@ def plan(n: int, variant: str) -> ExecutionPlan:
 # ---------------------------------------------------------------------------
 # scale assembly
 
-def _scale_radicands(tree) -> tuple:
-    """Exact radicands of the composed output scale, by CRT composition."""
-    if isinstance(tree, Leaf):
-        if tree.kind != "approx":
-            return (Fraction(1),) * tree.n
-        eta = kernel_eta(tree.n)
-        return (Fraction(1),) + (eta,) * (tree.n - 1)
-    s1 = _scale_radicands(tree.left)
-    s2 = _scale_radicands(tree.right)
-    n1, n2 = len(s1), len(s2)
-    imap = build_index_maps(n1, n2)
-    out = [Fraction(1)] * (n1 * n2)
-    flat = 0
-    for i in range(n1):
-        for k in range(n2):
-            out[imap.inverse[flat]] = s1[i] * s2[k]
-            flat += 1
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _assembled_scale(tree, mode: str) -> AssembledScale:
+    """Scale of a tree by the residue rule (see the module docstring)."""
+    approx = [leaf.n for leaf in tree_leaves(tree) if leaf.kind == "approx"]
+
+    @lru_cache(maxsize=None)
+    def radicand(nondividing):
+        return math.prod((kernel_eta(m) for m in nondividing), start=Fraction(1))
+
+    return make_scale([radicand(tuple(m for m in approx if k % m))
+                       for k in range(tree_length(tree))], mode)
 
 
 def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
-    """Composed per-output scale of a plan, in the plan's scale mode."""
-    return make_scale(_scale_radicands(plan_.tree), plan_.scale_mode)
+    """Composed per-output scale of a plan, in the plan's scale mode.
+
+    Built once per tree and scale mode; later calls return the same object.
+    """
+    return _assembled_scale(plan_.tree, plan_.scale_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +339,11 @@ def _tree_to_obj(tree):
     return [_tree_to_obj(tree.left), _tree_to_obj(tree.right)]
 
 
-def _tree_kinds(tree, out):
-    if isinstance(tree, Leaf):
-        out[str(tree.n)] = tree.kind
-    else:
-        _tree_kinds(tree.left, out)
-        _tree_kinds(tree.right, out)
-    return out
-
-
 def plan_to_json(plan_: ExecutionPlan) -> str:
     return json.dumps({
         "n": plan_.n,
         "tree": _tree_to_obj(plan_.tree),
-        "kernels": _tree_kinds(plan_.tree, {}),
+        "kernels": {str(leaf.n): leaf.kind for leaf in tree_leaves(plan_.tree)},
         "scale": plan_.scale_mode,
     })
 
@@ -345,18 +355,27 @@ def plan_from_json(text: str) -> ExecutionPlan:
     missing = [k for k in ("n", "tree", "kernels") if k not in obj]
     if missing:
         raise ValueError(f"plan lacks {', '.join(missing)}")
+    if not _is_integer(obj["n"]):
+        raise ValueError(f"n must be an integer, got {obj['n']!r}")
+    if not isinstance(obj["kernels"], dict):
+        raise ValueError("kernels must be an object mapping leaf lengths to kinds")
     kinds = {int(k): v for k, v in obj["kernels"].items()}
+    if {str(k) for k in kinds} != set(obj["kernels"]):
+        raise ValueError("kernels keys must be distinct leaf lengths in plain decimal")
 
     def build(node):
-        if isinstance(node, int):
+        if _is_integer(node):
             if node not in kinds:
                 raise ValueError(f"no kernel kind given for leaf {node}")
             return Leaf(node, kinds[node])
         if not isinstance(node, list) or len(node) != 2:
-            raise ValueError("tree nodes must be [left, right]")
+            raise ValueError("tree nodes must be integer leaf lengths or [left, right]")
         return Node(build(node[0]), build(node[1]))
 
     tree = build(obj["tree"])
+    unused = set(kinds) - {leaf.n for leaf in tree_leaves(tree)}
+    if unused:
+        raise ValueError(f"kernel kinds given for lengths the tree does not use: {sorted(unused)}")
     p = ExecutionPlan(tree, obj.get("scale", "none"), "custom")
     if p.n != obj["n"]:
         raise ValueError("tree product disagrees with declared n")

@@ -21,7 +21,7 @@ import pytest
 from pfadft.analysis import (cosine_probe, ground_error_table,
                              response_error_max_db, row_error_energies,
                              worst_rows)
-from pfadft.complexity import count_kernel, count_plan, instrumented_kernel_count
+from pfadft.complexity import count_plan
 from pfadft.design import (error_energy, mape, orth_deviation, select_optimal,
                            sweep_alpha)
 from pfadft.dyadic import csd_encode, csd_eval
@@ -61,23 +61,23 @@ def test_criterion_01_exact_path_oracle():
 
 
 TABLE_KERNEL_COUNTS = [
-    (3, "none", (0, 12, 2)),     # T*_3
-    (3, "exact", (4, 12, 2)),    # F*_3
-    (3, "csd", (0, 20, 10)),     # F'_3
-    (11, "none", (0, 130, 40)),  # T*_11
-    (11, "csd", (0, 170, 80)),   # F'_11
-    (31, "none", (0, 900, 300)),  # T*_31
-    (31, "csd", (0, 1020, 420)),  # F'_31
+    (3, "unscaled", (0, 12, 2)),     # T*_3
+    (3, "scaled", (4, 12, 2)),       # F*_3
+    (3, "csd", (0, 20, 10)),         # F'_3
+    (11, "unscaled", (0, 130, 40)),  # T*_11
+    (11, "csd", (0, 170, 80)),       # F'_11
+    (31, "unscaled", (0, 900, 300)),  # T*_31
+    (31, "csd", (0, 1020, 420)),     # F'_31
 ]
 
 
 def test_criterion_02_kernel_operation_counts():
     bad = []
-    for n, scale, want in TABLE_KERNEL_COUNTS:
-        static = count_kernel(n, "approx", scale).as_tuple()
-        measured = instrumented_kernel_count(n, "approx", scale).as_tuple()
+    for n, variant, want in TABLE_KERNEL_COUNTS:
+        static = count_plan(plan(n, variant)).as_tuple()
+        measured = instrumented_count(plan(n, variant)).as_tuple()
         if static != want or measured != want:
-            bad.append((n, scale, static, measured, want))
+            bad.append((n, variant, static, measured, want))
     _report(2, not bad, f"mismatches: {bad}" if bad else "7 rows, static and instrumented")
 
 

@@ -1,9 +1,8 @@
 import pytest
 
 from pfadft.complexity import (COMPOSED_VARIANTS, REFERENCE_ROWS,
-                               complexity_report, count_kernel, count_plan,
-                               ground_report, instrumented_kernel_count)
-from pfadft.pfa import plan
+                               complexity_report, count_plan, ground_report)
+from pfadft.pfa import Leaf, instrumented_count, plan
 from pfadft.schedule import OpCount
 
 GROUND_EXPECTED = {
@@ -22,6 +21,15 @@ GROUND_EXPECTED = {
     (3, "definition", "none"): (12, 24, 0),
     (11, "definition", "none"): (300, 520, 0),
     (31, "definition", "none"): (2700, 4560, 0),
+}
+
+# one-leaf plan variant of each ground (kernel kind, scale mode)
+GROUND_VARIANT = {
+    ("approx", "none"): "unscaled",
+    ("approx", "exact"): "scaled",
+    ("approx", "csd"): "csd",
+    ("exact", "none"): "exact",
+    ("definition", "none"): "exact-definition",
 }
 
 COMPOSED_EXPECTED = {
@@ -49,21 +57,17 @@ class TestKernelCounts:
     @pytest.mark.parametrize("key", sorted(GROUND_EXPECTED, key=str))
     def test_static(self, key):
         n, kind, scale = key
-        assert count_kernel(n, kind, scale).as_tuple() == GROUND_EXPECTED[key]
+        assert count_plan(plan(n, GROUND_VARIANT[kind, scale])).as_tuple() == GROUND_EXPECTED[key]
 
     @pytest.mark.parametrize("key", sorted(GROUND_EXPECTED, key=str))
     def test_instrumented_equals_static(self, key):
         n, kind, scale = key
-        got = instrumented_kernel_count(n, kind, scale)
+        got = instrumented_count(plan(n, GROUND_VARIANT[kind, scale]))
         assert got.as_tuple() == GROUND_EXPECTED[key]
-
-    def test_scale_on_exact_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            count_kernel(3, "exact", "csd")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            count_kernel(3, "mystery")
+            Leaf(3, "mystery")
 
 
 class TestPlanCounts:
@@ -73,7 +77,8 @@ class TestPlanCounts:
 
     def test_composition_is_additive(self):
         # leaf calls: 33 x 31-point, 93 x 11-point, 341 x 3-point, plus scale
-        total = (33 * count_kernel(31) + 93 * count_kernel(11) + 341 * count_kernel(3))
+        total = (33 * count_plan(plan(31, "unscaled")) + 93 * count_plan(plan(11, "unscaled"))
+                 + 341 * count_plan(plan(3, "unscaled")))
         assert count_plan(plan(1023, "unscaled")) == total
 
     def test_trivial_length(self):

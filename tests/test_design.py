@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pfadft.design import (CandidateApproximation, alpha_interval,
-                           candidate_matrix, error_energy, mape,
+                           apply_scale, candidate_matrix, error_energy, mape,
                            orth_deviation, quantize_half, scale_vector,
-                           scaled_matrix, select_optimal, sweep_alpha)
+                           select_optimal, sweep_alpha)
 from pfadft.exactdft import dft_matrix
 
 
@@ -101,7 +101,7 @@ class TestMetrics:
     def test_ground_3_point_values(self):
         F = dft_matrix(3)
         T = candidate_matrix(3, 9 / 8)
-        A = scaled_matrix(T, scale_vector(T))
+        A = apply_scale(scale_vector(T), T)
         assert abs(error_energy(A, F) - 0.0968) < 5e-5
         assert abs(mape(A, F) - 1.59) < 5e-3
         assert abs(orth_deviation(A) * 1e3 - 6.73) < 5e-3

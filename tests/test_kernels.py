@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
+from pfadft.design import apply_scale, make_scale
 from pfadft.dyadic import csd_eval
-from pfadft.kernels import (KERNEL_LENGTHS, apply_kernel_fast, apply_scale,
+from pfadft.kernels import (KERNEL_LENGTHS, apply_kernel_fast,
                             approx_dense_schedule, approx_fast_schedule,
-                            factorization, kernel, kernel_eta, kernel_scale,
-                            kernel_to_json, make_scale)
+                            factorization, kernel, kernel_eta, kernel_to_json)
+from pfadft.pfa import ExecutionPlan, Leaf, assemble_scale
 
 H = 0.5
 
@@ -140,6 +141,11 @@ class TestApplyKernel:
             apply_kernel_fast(3, random_complex(rng, 4))
 
 
+def ground_scale(n, mode):
+    """Output scale of the one-leaf plan of the approximate n-point kernel."""
+    return assemble_scale(ExecutionPlan(Leaf(n, "approx"), mode))
+
+
 class TestKernelScale:
     def test_eta_values(self):
         assert kernel_eta(3) == Fraction(6, 7)
@@ -147,14 +153,14 @@ class TestKernelScale:
         assert kernel_eta(31) == Fraction(31, 38)
 
     def test_exact_values(self):
-        sc = kernel_scale(31, "exact")
+        sc = ground_scale(31, "exact")
         vals = sc.values()
         assert vals[0] == 1.0
         assert np.allclose(vals[1:], np.sqrt(31 / 38))
         assert abs(vals[1] - 0.90321) < 5e-6
 
     def test_csd_values(self):
-        sc = kernel_scale(31, "csd")
+        sc = ground_scale(31, "csd")
         assert sc.values()[0] == 1.0
         assert np.allclose(sc.values()[1:], 29 / 32)
         assert csd_eval(sc.csd_codes[1]) == Fraction(29, 32)
@@ -165,11 +171,11 @@ class TestKernelScale:
         (31, "exact", (60, 0, 0)), (31, "csd", (0, 120, 120)),
     ])
     def test_scale_costs(self, n, mode, count):
-        assert kernel_scale(n, mode).op_count().as_tuple() == count
+        assert ground_scale(n, mode).op_count().as_tuple() == count
 
     def test_apply_scale(self, rng):
         x = random_complex(rng, 11)
-        sc = kernel_scale(11, "exact")
+        sc = ground_scale(11, "exact")
         got = apply_scale(sc, x)
         assert got[0] == x[0]
         assert np.allclose(got[1:], np.sqrt(11 / 13) * x[1:])

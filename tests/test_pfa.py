@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -180,6 +181,29 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             plan_from_json('{"n": 33, "tree": [11, 3], "kernels": {"11": "exact"}}')
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "tree": 3, "kernels": ["approx"]}',
+        '{"n": 3, "tree": 3, "kernels": "approx"}',
+        '{"n": 33, "tree": [11, 3], "kernels": {"11": "exact", "3": "approx", "5": "exact"}}',
+        '{"n": 3, "tree": 3, "kernels": {"3": "approx", "03": "exact"}}',
+        '{"n": 3, "tree": 3, "kernels": {" 3": "exact"}}',
+        '{"n": 33.0, "tree": [11, 3], "kernels": {"11": "exact", "3": "approx"}}',
+        '{"n": true, "tree": 1, "kernels": {"1": "exact"}}',
+        '{"n": 1, "tree": true, "kernels": {"1": "exact"}}',
+        '{"n": 11, "tree": [11, true], "kernels": {"11": "exact", "1": "exact"}}',
+        '{"n": 0, "tree": 0, "kernels": {"0": "exact"}}',
+        '{"n": -3, "tree": -3, "kernels": {"-3": "exact"}}',
+    ], ids=["kernels-list", "kernels-string", "unused-kind", "duplicate-key", "padded-key",
+            "float-n", "bool-n", "bool-tree", "bool-leaf", "zero-leaf", "negative-leaf"])
+    def test_json_malformed_plan_rejected(self, text):
+        with pytest.raises(ValueError):
+            plan_from_json(text)
+
+    @pytest.mark.parametrize("n", [0, -3, 3.0, True], ids=["zero", "negative", "float", "bool"])
+    def test_leaf_length_must_be_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            Leaf(n, "exact")
+
 
 class TestAssembledScale:
     def test_1023_piecewise_formula(self):
@@ -211,6 +235,12 @@ class TestAssembledScale:
         for i in range(1023):
             want = Fraction(1) if i % 3 == 0 else Fraction(6, 7)
             assert rads[i] == want
+
+    def test_built_once_per_plan(self):
+        sc = assemble_scale(plan(1023, "csd"))
+        assert assemble_scale(plan(1023, "csd")) is sc
+        assert sc.values() is sc.values()
+        assert not sc.values().flags.writeable
 
     def test_csd_codes_cover_every_nonunit_entry(self):
         sc = assemble_scale(plan(1023, "csd"))
@@ -335,3 +365,46 @@ def test_random_trees_match_dense_and_counts(text, seed):
     want = dense_matrix(p) @ x
     assert np.linalg.norm(execute(p, x) - want) <= 1e-12 * np.linalg.norm(want)
     assert count_plan(p) == instrumented_count(p)
+    # scale oracle: the scale restores every row of the unscaled composition
+    # to the exact transform's row norm sqrt(n)
+    vals = assemble_scale(p).values()
+    rows = np.linalg.norm(dense_matrix(ExecutionPlan(p.tree, "none")), axis=1)
+    oracle = np.sqrt(p.n) / rows
+    if p.scale_mode == "exact":
+        assert np.all(np.abs(vals - oracle) <= 1e-12 * oracle)
+    elif p.scale_mode == "csd":
+        assert np.array_equal(128 * vals, np.round(128 * vals))
+        assert np.abs(vals - oracle).max() <= 0.02
+
+
+def _ordered_trees(leaves):
+    """Every binary tree with the leaves in this order."""
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    for k in range(1, len(leaves)):
+        for left in _ordered_trees(leaves[:k]):
+            for right in _ordered_trees(leaves[k:]):
+                yield Node(left, right)
+
+
+@pytest.mark.parametrize("kinds", [
+    {31: "approx", 11: "approx", 3: "approx"},
+    {31: "exact", 11: "approx", 3: "approx"},
+    {31: "approx", 11: "definition", 3: "exact"},
+], ids=["all-approx", "exact-31", "definition-11-exact-3"])
+def test_tree_shape_invariance(kinds):
+    leaves = [Leaf(m, kind) for m, kind in kinds.items()]
+    trees = [t for perm in itertools.permutations(leaves) for t in _ordered_trees(perm)]
+    assert len(trees) == 12
+    ref = ExecutionPlan(trees[0], "csd")
+    M0 = dense_matrix(ref)
+    for tree in trees[1:]:
+        p = ExecutionPlan(tree, "csd")
+        assert count_plan(p) == count_plan(ref)
+        assert assemble_scale(p).radicands == assemble_scale(ref).radicands
+        M = dense_matrix(p)
+        if all(leaf.kind == "approx" for leaf in leaves):
+            assert np.array_equal(M, M0)
+        else:
+            assert np.abs(M - M0).max() <= 1e-12
