@@ -15,8 +15,8 @@ from .dyadic import CsdCode, DyadicComplex, csd_encode, csd_eval, round_to_half
 from .exactdft import dft_direct, dft_matrix, fast_exact
 from .kernels import apply_kernel_fast, factorization, kernel, kernel_to_json
 from .pfa import (ExecutionPlan, assemble_scale, build_index_maps,
-                  crt_coefficients, dense_matrix, execute, instrumented_count,
-                  plan, plan_from_json, plan_to_json, unscaled)
+                  dense_matrix, execute, instrumented_count, plan,
+                  plan_from_json, plan_to_json, unscaled)
 from .schedule import OpCount
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "CsdCode", "DyadicComplex", "ExecutionPlan", "OpCount",
     "alpha_interval", "apply_kernel_fast", "apply_scale", "assemble_scale",
     "build_index_maps", "candidate_matrix", "complexity_report",
-    "cosine_probe", "count_plan", "crt_coefficients",
+    "cosine_probe", "count_plan",
     "csd_encode", "csd_eval", "dense_matrix", "dft_direct", "dft_matrix",
     "error_energy", "execute", "factorization", "fast_exact",
     "filter_response", "instrumented_count", "kernel",

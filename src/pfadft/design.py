@@ -88,27 +88,39 @@ class AssembledScale:
 
     Output i is scaled by sqrt(radicands[i]), an exact rational, so no
     precision is lost before application time; in csd mode the applied
-    value is instead the code's exact dyadic value. The float values are
-    evaluated at construction, once per distinct radicand or code, and
-    ``values()`` returns that stored read-only array.
+    value is instead the code's exact dyadic value. At construction the
+    distinct radicands are found once, and each one's CSD code and float
+    value are evaluated once; ``values()`` returns the stored read-only
+    array and ``schedule()`` the scale schedule built with it.
     """
 
     radicands: tuple
     mode: str                      # "none" | "exact" | "csd"
-    csd_codes: tuple = None        # per-entry CsdCode or None (unit entries)
+    csd_codes: tuple = field(init=False, default=None)  # per-entry CsdCode, None on unit entries
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _schedule: Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in _SCALE_MODES:
             raise ValueError(f"unknown scale mode {self.mode!r}")
+        csd_info = None
         if self.mode == "none":
             vals = np.ones(len(self.radicands))
-        elif self.mode == "exact":
-            vals = _each_once(self.radicands, lambda r: np.sqrt(float(r)))
         else:
-            vals = _each_once(self.csd_codes, lambda c: 1.0 if c is None else float(csd_eval(c)))
+            slot = {}  # distinct radicand -> its position among the distinct ones
+            index = [slot.setdefault(r, len(slot)) for r in self.radicands]
+            if self.mode == "exact":
+                distinct = [np.sqrt(float(r)) for r in slot]
+            else:
+                codes = [None if r == 1 else _csd_for_radicand(r) for r in slot]
+                distinct = [1.0 if c is None else float(csd_eval(c)) for c in codes]
+                object.__setattr__(self, "csd_codes", tuple(codes[j] for j in index))
+                csd_info = {i: (distinct[j], codes[j].nonzero_count)
+                            for i, j in enumerate(index) if codes[j] is not None}
+            vals = np.array(distinct, dtype=np.float64)[index]
         vals.flags.writeable = False
         object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_schedule", scale_schedule(vals, csd_info))
 
     def __len__(self):
         return len(self.radicands)
@@ -116,25 +128,11 @@ class AssembledScale:
     def values(self) -> np.ndarray:
         return self._values
 
-    def nonunit_indices(self):
-        return [i for i, r in enumerate(self.radicands) if r != 1]
-
     def schedule(self) -> Schedule:
-        vals = self.values()
-        if self.mode == "csd":
-            info = {i: (vals[i], self.csd_codes[i].nonzero_count)
-                    for i in self.nonunit_indices()}
-            return scale_schedule(vals, info)
-        return scale_schedule(vals)
+        return self._schedule
 
     def op_count(self) -> OpCount:
-        return self.schedule().static_count()
-
-
-def _each_once(keys, evaluate) -> np.ndarray:
-    """Float array of evaluate(k) for every key, evaluating each distinct key once."""
-    value = {k: evaluate(k) for k in set(keys)}
-    return np.array([value[k] for k in keys], dtype=np.float64)
+        return self._schedule.static_count()
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +142,8 @@ def _csd_for_radicand(radicand: Fraction) -> CsdCode:
 
 def make_scale(radicands, mode: str) -> AssembledScale:
     """Attach the requested application mode to exact radicands."""
-    radicands = tuple(Fraction(r) for r in radicands)
-    if mode == "csd":
-        codes = tuple(None if r == 1 else _csd_for_radicand(r) for r in radicands)
-        return AssembledScale(radicands, "csd", codes)
-    return AssembledScale(radicands, mode)
+    return AssembledScale(tuple(r if isinstance(r, Fraction) else Fraction(r)
+                                for r in radicands), mode)
 
 
 def apply_scale(scale: AssembledScale, x) -> np.ndarray:

@@ -6,6 +6,13 @@ permutations come from the Chinese remainder theorem, so no intermediate
 root-of-unity multipliers appear anywhere in the composition; an all-leaf
 approximate plan therefore runs on additions and bit-shifts alone.
 
+The nested CRT maps of any tree collapse into one map over the leaf
+lengths n_1, ..., n_L (Burrus & Eschenbacher, IEEE TASSP 1981): input m
+goes to grid cell (m mod n_l)_l, and cell (i_l) goes to output
+sum_l i_l * (n / n_l) mod n. A plan runs as one pass over that grid: one
+gather, each leaf's schedule along its own axis, one scatter. The leaf
+calls always run right to left over the leaf sequence.
+
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
 entry (K * u mod n_leaf, k mod n_leaf) of the leaf's matrix, where u is
@@ -14,12 +21,14 @@ times. So a leaf's DC row lands exactly on the outputs K with
 K mod n_leaf = 0. An approximate kernel's scale is
 diag(1, sqrt(eta), ..., sqrt(eta)), so the radicand of output K is the
 product of eta over the approximate leaves whose length does not divide K
-(the residue rule). The tree shape only sets the order of the leaf calls
-and, for exact leaves, the floating-point rounding.
+(the residue rule). The leaf order sets the order of the leaf calls; the
+tree shape only sets the association of the Kronecker product in
+``dense_matrix``, which for exact leaves can move the last bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -30,8 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .design import _SCALE_MODES, AssembledScale, apply_scale, make_scale
-from .exactdft import FAST_LENGTHS, exact_definition_schedule, exact_fast_schedule
-from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel_eta
+from .exactdft import (FAST_LENGTHS, dft_matrix, exact_definition_schedule,
+                       exact_fast_schedule)
+from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel, kernel_eta
 from .schedule import CountingComplex, Tally, run_counting, run_numpy
 
 HYBRID_LEGS = {
@@ -44,46 +54,44 @@ HYBRID_LEGS = {
 }
 
 
-def crt_coefficients(n1: int, n2: int):
-    """Smallest non-negative (c1, c2) with (c1*n1 + c2*n2) mod n1*n2 == 1."""
-    if math.gcd(n1, n2) != 1:
-        raise ValueError(f"{n1} and {n2} are not coprime")
-    c1 = pow(n1, -1, n2) if n2 > 1 else 0
-    c2 = pow(n2, -1, n1) if n1 > 1 else 0
-    if (c1 * n1 + c2 * n2) % (n1 * n2) != 1 % (n1 * n2):
-        raise AssertionError("CRT coefficient congruence failed")
-    return c1, c2
-
-
 @dataclass(frozen=True)
 class IndexMap:
-    """Forward/inverse CRT permutations for one coprime split."""
+    """Forward/inverse CRT permutations for one sequence of coprime lengths."""
 
-    n1: int
-    n2: int
-    forward: np.ndarray   # cell (i, k) reads x[forward[i*n2 + k]]
-    inverse: np.ndarray   # cell (i, k) lands at X[inverse[i*n2 + k]]
+    lengths: tuple
+    forward: np.ndarray   # row-major grid cell c reads x[forward[c]]
+    inverse: np.ndarray   # row-major grid cell c lands at X[inverse[c]]
 
 
 @lru_cache(maxsize=None)
-def build_index_maps(n1: int, n2: int) -> IndexMap:
-    """Input and output index permutations for an (n1, n2) split."""
-    c1, c2 = crt_coefficients(n1, n2)
-    n = n1 * n2
-    r = (n1 * c1) % n
-    s = (n2 * c2) % n
-    i = np.arange(n1)[:, None]
-    k = np.arange(n2)[None, :]
-    forward = ((i * s + k * r) % n).ravel()
-    inverse = ((i * n2 + k * n1) % n).ravel()
+def build_index_maps(*lengths: int) -> IndexMap:
+    """Input and output index permutations for the grid of these lengths.
+
+    Cell (i_l) reads input sum_l i_l * e_l mod n, where the CRT idempotent
+    e_l = (n / n_l) * ((n / n_l)^-1 mod n_l) is 1 modulo n_l and 0 modulo
+    the other lengths, and lands at output sum_l i_l * (n / n_l) mod n.
+    """
+    if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(lengths, 2)):
+        raise ValueError(f"lengths {lengths} are not pairwise coprime")
+    n = math.prod(lengths)
+    cells = np.indices(lengths).reshape(len(lengths), -1)
+    strides = [n // m for m in lengths]
+    idempotents = [q * pow(q, -1, m) for q, m in zip(strides, lengths)]
+    forward = np.tensordot(idempotents, cells, 1) % n
+    inverse = np.tensordot(strides, cells, 1) % n
     for perm in (forward, inverse):
         if len(np.unique(perm)) != n:
             raise AssertionError("index map is not a bijection")
-    return IndexMap(n1, n2, forward, inverse)
+    return IndexMap(lengths, forward, inverse)
 
 
 # ---------------------------------------------------------------------------
 # plan trees
+
+#: longest leaf accepted; a longer one can only run by definition, which
+#: compiles n^2 operations (about 4 s and 134 MiB already at n = 512)
+MAX_DEFINITION_LENGTH = 512
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -97,6 +105,9 @@ class Leaf:
             raise ValueError(f"unknown leaf kind {self.kind!r}")
         if self.kind == "approx" and self.n not in KERNEL_LENGTHS:
             raise ValueError(f"no approximate kernel for n={self.n}")
+        if self.n > MAX_DEFINITION_LENGTH:
+            raise ValueError(f"leaf of length {self.n} would compile {self.n}^2 operations by "
+                             f"definition; leaves are limited to {MAX_DEFINITION_LENGTH} points")
 
 
 @dataclass(frozen=True)
@@ -214,13 +225,12 @@ def plan(n: int, variant: str) -> ExecutionPlan:
 def _assembled_scale(tree, mode: str) -> AssembledScale:
     """Scale of a tree by the residue rule (see the module docstring)."""
     approx = [leaf.n for leaf in tree_leaves(tree) if leaf.kind == "approx"]
-
-    @lru_cache(maxsize=None)
-    def radicand(nondividing):
-        return math.prod((kernel_eta(m) for m in nondividing), start=Fraction(1))
-
-    return make_scale([radicand(tuple(m for m in approx if k % m))
-                       for k in range(tree_length(tree))], mode)
+    k = np.arange(tree_length(tree))
+    # bit j of mask[K] is set when approx[j] does not divide K
+    mask = sum(((k % m != 0) << j for j, m in enumerate(approx)), np.zeros_like(k))
+    radicand = [math.prod((kernel_eta(m) for j, m in enumerate(approx) if bits >> j & 1),
+                          start=Fraction(1)) for bits in range(2 ** len(approx))]
+    return make_scale([radicand[bits] for bits in mask.tolist()], mode)
 
 
 def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
@@ -235,24 +245,18 @@ def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
 # execution
 
 def _run_tree(tree, arr, runner):
-    """Apply the tree transform to an (n, batch) block; runner executes
-    leaf schedules so the same recursion serves the fast and the
-    instrumented paths."""
-    if isinstance(tree, Leaf):
-        return runner(leaf_schedule(tree), arr)
-    n1 = tree_length(tree.left)
-    n2 = tree_length(tree.right)
-    imap = build_index_maps(n1, n2)
-    batch = arr.shape[1]
-    y = arr[imap.forward].reshape(n1, n2, batch)
-    # inner transform along the n2 coordinate, one call batched over rows
-    y = _run_tree(tree.right, y.transpose(1, 0, 2).reshape(n2, n1 * batch), runner)
-    y = y.reshape(n2, n1, batch)
-    # outer transform along the n1 coordinate
-    y = _run_tree(tree.left, y.transpose(1, 0, 2).reshape(n1, n2 * batch), runner)
-    y = y.reshape(n1, n2, batch).reshape(n1 * n2, batch)
-    out = np.empty_like(y)
-    out[imap.inverse] = y
+    """Apply the tree transform to an (n, batch) block in one pass over the
+    CRT grid; runner executes leaf schedules so the same pass serves the
+    fast and the instrumented paths."""
+    leaves = tree_leaves(tree)
+    imap = build_index_maps(*(leaf.n for leaf in leaves))
+    y = arr[imap.forward].reshape(*imap.lengths, arr.shape[1])
+    for axis in reversed(range(len(leaves))):
+        fibres = y.swapaxes(0, axis)
+        out = runner(leaf_schedule(leaves[axis]), fibres.reshape(leaves[axis].n, -1))
+        y = out.reshape(fibres.shape).swapaxes(0, axis)
+    out = np.empty_like(arr)
+    out[imap.inverse] = y.reshape(arr.shape)
     return out
 
 
@@ -308,23 +312,18 @@ def instrumented_count(plan_: ExecutionPlan, rng=None):
 # ---------------------------------------------------------------------------
 # dense assembly (analysis paths)
 
-def _dense_tree(tree) -> np.ndarray:
-    from .exactdft import dft_matrix
-    from .kernels import kernel
+def _kron_tree(tree) -> np.ndarray:
+    """Kronecker product of the leaf matrices in the tree's own association."""
     if isinstance(tree, Leaf):
         return kernel(tree.n) if tree.kind == "approx" else dft_matrix(tree.n)
-    M1 = _dense_tree(tree.left)
-    M2 = _dense_tree(tree.right)
-    n1, n2 = M1.shape[0], M2.shape[0]
-    imap = build_index_maps(n1, n2)
-    out = np.empty((n1 * n2, n1 * n2), dtype=np.complex128)
-    out[np.ix_(imap.inverse, imap.forward)] = np.kron(M1, M2)
-    return out
+    return np.kron(_kron_tree(tree.left), _kron_tree(tree.right))
 
 
 def dense_matrix(plan_: ExecutionPlan) -> np.ndarray:
     """Full matrix of the plan, scale included (binary64)."""
-    M = _dense_tree(plan_.tree)
+    imap = build_index_maps(*(leaf.n for leaf in tree_leaves(plan_.tree)))
+    M = np.empty((plan_.n, plan_.n), dtype=np.complex128)
+    M[np.ix_(imap.inverse, imap.forward)] = _kron_tree(plan_.tree)
     if plan_.scale_mode != "none":
         M = apply_scale(assemble_scale(plan_), M)
     return M

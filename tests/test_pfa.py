@@ -11,40 +11,51 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_complex
 from pfadft.complexity import count_plan
 from pfadft.exactdft import dft_direct, dft_matrix
+from pfadft import pfa
+from pfadft.cli import cli_main
 from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
-                        build_index_maps, crt_coefficients, dense_matrix,
-                        execute, instrumented_count, plan, plan_from_json,
-                        plan_to_json, unscaled)
+                        build_index_maps, dense_matrix, execute,
+                        instrumented_count, plan, plan_from_json, plan_to_json,
+                        tree_leaves, unscaled)
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
 
 
 class TestCrt:
+    """The forward map's unit cells are the CRT idempotents e_l, which are
+    1 modulo their own length and 0 modulo the other."""
+
+    @staticmethod
+    def idempotents(n1, n2):
+        grid = build_index_maps(n1, n2).forward.reshape(n1, n2)
+        return int(grid[1, 0]), int(grid[0, 1])
+
     @pytest.mark.parametrize("n1,n2", COPRIME_PAIRS)
     def test_congruence(self, n1, n2):
-        c1, c2 = crt_coefficients(n1, n2)
-        assert (c1 * n1 + c2 * n2) % (n1 * n2) == 1
+        e1, e2 = self.idempotents(n1, n2)
+        assert (e1 + e2) % (n1 * n2) == 1
+        assert (e1 % n1, e1 % n2, e2 % n1, e2 % n2) == (1, 0, 0, 1)
 
     def test_example_2_3(self):
-        c1, c2 = crt_coefficients(2, 3)
-        assert (c1, c2) == (2, 1)
+        assert self.idempotents(2, 3) == (3, 4)
 
     def test_example_31_33(self):
-        c1, c2 = crt_coefficients(31, 33)
-        assert c1 == 16
-        assert (16 * 31 + c2 * 33) % 1023 == 1
+        e1, e2 = self.idempotents(31, 33)
+        assert e2 == 16 * 31
+        assert (e1 + e2) % 1023 == 1
 
     def test_example_3_5(self):
-        c1, c2 = crt_coefficients(3, 5)
-        assert (c1 * 3 + c2 * 5) % 15 == 1
         # brute-force oracle over all residues
-        sols = [(a, b) for a in range(5) for b in range(3)
-                if (a * 3 + b * 5) % 15 == 1]
-        assert (c1, c2) in sols
+        sols = [(a, b) for a in range(15) for b in range(15)
+                if (a % 3, a % 5, b % 3, b % 5) == (1, 0, 0, 1)]
+        assert sols == [self.idempotents(3, 5)]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
-            crt_coefficients(6, 9)
+            build_index_maps(6, 9)
+
+
+GRIDS = COPRIME_PAIRS + [(31, 11, 3), (4, 9, 5, 7)]
 
 
 class TestIndexMaps:
@@ -68,14 +79,20 @@ class TestIndexMaps:
         assert imap.forward.tolist() == list(range(5))
         assert imap.inverse.tolist() == list(range(5))
 
-    @pytest.mark.parametrize("n1,n2", COPRIME_PAIRS)
-    def test_forward_cells_carry_crt_coordinates(self, n1, n2):
-        imap = build_index_maps(n1, n2)
-        grid = imap.forward.reshape(n1, n2)
-        for i in range(n1):
-            for k in range(n2):
-                assert grid[i, k] % n1 == i % n1
-                assert grid[i, k] % n2 == k % n2
+    @pytest.mark.parametrize("lengths", GRIDS, ids=lambda ls: "-".join(map(str, ls)))
+    def test_forward_cells_carry_crt_coordinates(self, lengths):
+        imap = build_index_maps(*lengths)
+        n = math.prod(lengths)
+        assert imap.lengths == lengths
+        cells = list(itertools.product(*(range(m) for m in lengths)))  # row-major
+        for c, cell in enumerate(cells):
+            assert [imap.forward[c] % m for m in lengths] == list(cell)
+            assert imap.inverse[c] == sum(i * (n // m) for i, m in zip(cell, lengths)) % n
+        assert sorted(imap.forward) == sorted(imap.inverse) == list(range(n))
+
+    def test_lengths_must_be_pairwise_coprime(self):
+        with pytest.raises(ValueError):
+            build_index_maps(3, 5, 9)
 
 
 class TestExactComposition:
@@ -205,6 +222,37 @@ class TestInputValidation:
             Leaf(n, "exact")
 
 
+class TestSizeBound:
+    """Leaves that could only run by definition stop at 512 points, before
+    any schedule is compiled."""
+
+    @pytest.fixture(autouse=True)
+    def no_compile(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"compiled a {n}-point definition schedule")
+        monkeypatch.setattr(pfa, "exact_definition_schedule", refuse)
+
+    @pytest.mark.parametrize("n,variant", [(4096, "exact"), (1024, "exact-definition")])
+    def test_plan_rejects_long_leaf(self, n, variant):
+        with pytest.raises(ValueError, match="limited to 512 points"):
+            plan(n, variant)
+
+    def test_json_rejects_long_leaf(self):
+        with pytest.raises(ValueError, match="limited to 512 points"):
+            plan_from_json('{"n": 1021, "tree": 1021, "kernels": {"1021": "exact"}}')
+
+    def test_cli_rejects_long_leaf(self, tmp_path):
+        src = tmp_path / "x.csv"
+        src.write_text("1.0,0.0\n" * 4096)
+        rc = cli_main(["transform", "--n", "4096", "--variant", "exact",
+                       "--input", str(src), "--output", str(tmp_path / "X.csv")])
+        assert rc == 1
+        assert not (tmp_path / "X.csv").exists()
+
+    def test_512_points_still_plan(self):
+        assert plan(512, "exact-definition").tree == Leaf(512, "definition")
+
+
 class TestAssembledScale:
     def test_1023_piecewise_formula(self):
         rads = assemble_scale(plan(1023, "scaled")).radicands
@@ -241,6 +289,7 @@ class TestAssembledScale:
         assert assemble_scale(plan(1023, "csd")) is sc
         assert sc.values() is sc.values()
         assert not sc.values().flags.writeable
+        assert sc.schedule() is sc.schedule()
 
     def test_csd_codes_cover_every_nonunit_entry(self):
         sc = assemble_scale(plan(1023, "csd"))
@@ -363,7 +412,10 @@ def test_random_trees_match_dense_and_counts(text, seed):
     p = plan_from_json(text)
     x = random_complex(np.random.default_rng(seed), p.n, 3)
     want = dense_matrix(p) @ x
-    assert np.linalg.norm(execute(p, x) - want) <= 1e-12 * np.linalg.norm(want)
+    got = execute(p, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
+        assert np.abs(got - np.fft.fft(x, axis=0)).max() <= 1e-9 * p.n
     assert count_plan(p) == instrumented_count(p)
     # scale oracle: the scale restores every row of the unscaled composition
     # to the exact transform's row norm sqrt(n)
@@ -395,7 +447,8 @@ def _ordered_trees(leaves):
 ], ids=["all-approx", "exact-31", "definition-11-exact-3"])
 def test_tree_shape_invariance(kinds):
     leaves = [Leaf(m, kind) for m, kind in kinds.items()]
-    trees = [t for perm in itertools.permutations(leaves) for t in _ordered_trees(perm)]
+    orders = [list(_ordered_trees(perm)) for perm in itertools.permutations(leaves)]
+    trees = [t for order in orders for t in order]
     assert len(trees) == 12
     ref = ExecutionPlan(trees[0], "csd")
     M0 = dense_matrix(ref)
@@ -408,3 +461,10 @@ def test_tree_shape_invariance(kinds):
             assert np.array_equal(M, M0)
         else:
             assert np.abs(M - M0).max() <= 1e-12
+    # the leaf calls follow the leaf order alone, so trees sharing one
+    # left-to-right order run bit for bit alike
+    x = random_complex(np.random.default_rng(7), 1023, 2)
+    for order in orders:
+        first = execute(ExecutionPlan(order[0], "csd"), x)
+        for tree in order[1:]:
+            assert np.array_equal(execute(ExecutionPlan(tree, "csd"), x), first)

@@ -1,0 +1,97 @@
+"""Bit-for-bit comparison of pfadft outputs between two source trees.
+
+    python tools/bitcheck.py dump <src-root> <out.npz>
+    python tools/bitcheck.py compare <a.npz> <b.npz>
+
+``dump`` imports pfadft from ``<src-root>`` (the directory that holds the
+``pfadft`` package) and saves, for the 17 named 1023-point variants, the 15
+ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
+{3, 11, 31}: ``execute`` on a 1-D signal and at batch 1 and 64,
+``dense_matrix``, the scale values of scaled plans, and the
+``count_plan``/``instrumented_count`` triples. Arrays above 4096 entries
+are stored as the SHA-256 of their bytes. ``compare`` exits 1 on any
+missing item or bit difference.
+"""
+
+import hashlib
+import itertools
+import sys
+
+import numpy as np
+
+VARIANTS = ("exact", "exact-definition", "unscaled", "scaled", "csd") + tuple(
+    f"hybrid-{leg}-{mode}" for leg in ("I", "II", "III", "IV", "V", "VI")
+    for mode in ("scaled", "csd"))
+KIND_SETS = ({31: "approx", 11: "approx", 3: "approx"},
+             {31: "exact", 11: "approx", 3: "approx"},
+             {31: "approx", 11: "definition", 3: "exact"})
+
+
+def plans(pfadft):
+    Leaf, Node = pfadft.pfa.Leaf, pfadft.pfa.Node
+
+    def trees(leaves):
+        if len(leaves) == 1:
+            yield leaves[0]
+        for k in range(1, len(leaves)):
+            for left, right in itertools.product(trees(leaves[:k]), trees(leaves[k:])):
+                yield Node(left, right)
+
+    for v in VARIANTS:
+        yield f"1023/{v}", pfadft.plan(1023, v)
+    for n, v in itertools.product((3, 11, 31), VARIANTS[:5]):
+        yield f"{n}/{v}", pfadft.plan(n, v)
+    for s, kinds in enumerate(KIND_SETS):
+        leaves = [Leaf(m, kind) for m, kind in kinds.items()]
+        for t, tree in enumerate(t for p in itertools.permutations(leaves) for t in trees(p)):
+            yield f"tree{s}.{t}", pfadft.ExecutionPlan(tree, "csd")
+
+
+def dump(src_root, out):
+    sys.path.insert(0, src_root)
+    import pfadft
+    items = {}
+
+    def put(key, arr):
+        arr = np.ascontiguousarray(arr)
+        if arr.size > 4096:
+            key, arr = key + "#sha256", np.frombuffer(hashlib.sha256(
+                str((arr.dtype, arr.shape)).encode() + arr.tobytes()).digest(), np.uint8)
+        items[key] = arr
+
+    for name, p in plans(pfadft):
+        rng = np.random.default_rng(p.n)
+        x = rng.standard_normal((p.n, 64)) + 1j * rng.standard_normal((p.n, 64))
+        put(f"{name}/execute-1d", pfadft.execute(p, x[:, 0]))
+        put(f"{name}/execute-b1", pfadft.execute(p, x[:, :1]))
+        put(f"{name}/execute-b64", pfadft.execute(p, x))
+        put(f"{name}/dense", pfadft.dense_matrix(p))
+        if p.scale_mode != "none":
+            put(f"{name}/scale", pfadft.assemble_scale(p).values())
+        put(f"{name}/count", np.array(pfadft.count_plan(p).as_tuple()))
+        put(f"{name}/instrumented", np.array(pfadft.instrumented_count(p).as_tuple()))
+    np.savez(out, **items)
+    print(f"{len(items)} items written to {out}")
+
+
+def compare(a_path, b_path):
+    with np.load(a_path) as a, np.load(b_path) as b:
+        bad = sorted(set(a.files) ^ set(b.files))
+        for key in sorted(set(a.files) & set(b.files)):
+            x, y = a[key], b[key]
+            if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+                bad.append(key)
+        for key in bad:
+            print(f"DIFFERS: {key}")
+        print(f"{len(set(a.files) | set(b.files)) - len(bad)} items bit-equal, {len(bad)} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    cmd, *args = sys.argv[1:] or ["help"]
+    if (cmd, len(args)) == ("dump", 2):
+        dump(*args)
+    elif (cmd, len(args)) == ("compare", 2):
+        sys.exit(compare(*args))
+    else:
+        sys.exit(__doc__)
