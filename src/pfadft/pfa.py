@@ -312,10 +312,15 @@ def instrumented_count(plan_: ExecutionPlan, rng=None):
 # ---------------------------------------------------------------------------
 # dense assembly (analysis paths)
 
+def leaf_matrix(leaf: Leaf) -> np.ndarray:
+    """Dense matrix a leaf computes: its kernel, or the exact DFT."""
+    return kernel(leaf.n) if leaf.kind == "approx" else dft_matrix(leaf.n)
+
+
 def _kron_tree(tree) -> np.ndarray:
     """Kronecker product of the leaf matrices in the tree's own association."""
     if isinstance(tree, Leaf):
-        return kernel(tree.n) if tree.kind == "approx" else dft_matrix(tree.n)
+        return leaf_matrix(tree)
     return np.kron(_kron_tree(tree.left), _kron_tree(tree.right))
 
 

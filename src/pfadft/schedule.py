@@ -22,7 +22,7 @@ Cost conventions (used repo-wide):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,12 +80,14 @@ class Schedule:
     n_out: int
     out_base: int
     n_slots: int
+    _count: OpCount = field(init=False, default=None, repr=False, compare=False)
 
     def static_count(self) -> OpCount:
-        total = OpCount()
-        for op in self.ops:
-            total = total + _OPCODES[op.code].cost(op)
-        return total
+        """Total static cost of the list, folded on the first call only."""
+        if self._count is None:
+            object.__setattr__(self, "_count", sum(
+                (_OPCODES[op.code].cost(op) for op in self.ops), OpCount()))
+        return self._count
 
 
 def _classify(z: complex):

@@ -1,5 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 @pytest.fixture
@@ -10,3 +14,29 @@ def rng():
 def random_complex(rng, n, count=1):
     z = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
     return z[:, 0] if count == 1 else z
+
+
+# Leaf lengths for random plans; approximate kernels exist only for 3, 11, 31.
+TREE_LENGTHS = (2, 3, 4, 5, 7, 11, 31)
+
+
+@st.composite
+def coprime_plans(draw):
+    """JSON plans over random coprime factor trees, leaf kinds and scales."""
+    factors = []
+    for f in draw(st.permutations(TREE_LENGTHS))[: draw(st.integers(1, 4))]:
+        if math.gcd(f, math.prod(factors)) == 1 and math.prod(factors) * f <= 1023:
+            factors.append(f)
+
+    def shape(fs):
+        if len(fs) == 1:
+            return fs[0]
+        k = draw(st.integers(1, len(fs) - 1))
+        return [shape(fs[:k]), shape(fs[k:])]
+
+    kinds = {str(f): draw(st.sampled_from(
+        ("approx", "exact", "definition") if f in (3, 11, 31) else ("exact", "definition")))
+        for f in factors}
+    scale = draw(st.sampled_from(("none", "exact", "csd")))
+    return json.dumps({"n": math.prod(factors), "tree": shape(factors),
+                       "kernels": kinds, "scale": scale})

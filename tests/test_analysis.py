@@ -1,12 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import coprime_plans
 from pfadft.analysis import (cosine_probe, filter_response, ground_error_table,
-                             response_error_curve, response_error_max_db,
+                             plan_error_figures, response_error_curve, response_error_max_db,
                              row_error_energies, row_error_table, worst_rows)
-from pfadft.design import error_energy
+from pfadft.complexity import COMPOSED_VARIANTS
+from pfadft.design import error_energy, mape, orth_deviation
 from pfadft.exactdft import dft_matrix
-from pfadft.pfa import dense_matrix, plan
+from pfadft.pfa import dense_matrix, plan, plan_from_json, tree_leaves
 
 
 def _quadrature_row_energy(approx_row, exact_row, npts=200_001):
@@ -137,6 +142,65 @@ class TestResponseErrorCurve:
         Ha = np.exp(-1j * np.outer(w, np.arange(11))) @ approx
         want = 20 * np.log10(np.abs(Ha - H) / np.abs(H).max())
         assert np.abs(curve.magnitude_db - want).max() < 1e-8
+
+
+@lru_cache(maxsize=None)
+def _exact(n):
+    return dft_matrix(n)
+
+
+def _assert_figures_match_dense(p):
+    """plan_error_figures against the dense oracle of pfadft.design."""
+    A = dense_matrix(p)
+    F = _exact(p.n)
+    want = (error_energy(A, F), mape(A, F), orth_deviation(A))
+    got = plan_error_figures(p).as_tuple()
+    if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
+        # every figure is rounding noise around 0
+        assert abs(got[0] - want[0]) <= 1e-9 * p.n ** 2
+        assert abs(got[1] - want[1]) <= 1e-9 and abs(got[2] - want[2]) <= 1e-9
+    else:
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * abs(w)
+
+
+class TestStructuredErrorFigures:
+    @pytest.mark.parametrize("variant", [v for v, _ in COMPOSED_VARIANTS])
+    def test_composed_variants_match_dense(self, variant):
+        _assert_figures_match_dense(plan(1023, variant))
+
+    @pytest.mark.parametrize("variant", ["exact-definition", "exact", "unscaled", "scaled", "csd"])
+    @pytest.mark.parametrize("n", [3, 11, 31])
+    def test_ground_plans_match_dense(self, n, variant):
+        _assert_figures_match_dense(plan(n, variant))
+
+    @settings(deadline=None, max_examples=30)
+    @given(coprime_plans())
+    def test_random_trees_match_dense(self, text):
+        _assert_figures_match_dense(plan_from_json(text))
+
+    def test_tables_are_the_structured_figures(self):
+        for n, label, *figs in ground_error_table():
+            variant = "scaled" if label.startswith("F*") else "csd"
+            assert tuple(figs) == plan_error_figures(plan(n, variant)).as_tuple()
+
+
+class TestResponseErrorMax:
+    @pytest.mark.parametrize("variant", ["csd", "scaled"])
+    @pytest.mark.parametrize("n", [3, 11, 31, 1023])
+    def test_matches_two_fft_formula(self, n, variant):
+        grid = 8192 if n > 64 else 4096
+        A = dense_matrix(plan(n, variant))
+        F = _exact(n)
+        H = np.fft.fftshift(np.fft.fft(F, grid, axis=1), axes=1)
+        Ha = np.fft.fftshift(np.fft.fft(A, grid, axis=1), axes=1)
+        err = np.abs(Ha - H) / np.max(np.abs(H), axis=1)[:, None]
+        want = 20.0 * np.log10(np.max(err[1:]))
+        assert abs(response_error_max_db(variant, n) - want) <= 1e-9
+
+    def test_undersampled_grid_rejected(self):
+        with pytest.raises(ValueError):
+            response_error_max_db("csd", 31, grid_points=32)
 
 
 class TestReferenceTables:

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pfadft.analysis import composed_error_table
 from pfadft.cli import cli_main
+from pfadft.complexity import COMPOSED_VARIANTS
 from pfadft.exactdft import dft_direct
 
 
@@ -103,6 +105,18 @@ class TestReports:
         rows = json.loads(out.read_text())
         by_label = {r["transform"]: r for r in rows}
         assert abs(float(by_label["F*_3"]["error_energy"]) - 0.0968) < 5e-5
+
+    def test_errors_composed_json(self, tmp_path):
+        dst = tmp_path / "e.json"
+        rc = cli_main(["errors", "--which", "composed", "--format", "json", "--output", str(dst)])
+        assert rc == 0
+        rows = json.loads(dst.read_text())
+        assert [r["transform"] for r in rows] == [
+            label for v, label in COMPOSED_VARIANTS if v not in ("exact", "exact-definition")]
+        want = [{"n": n, "transform": label, "error_energy": f"{e:.6g}",
+                 "mape_percent": f"{m:.6g}", "orth_deviation": f"{p:.6g}"}
+                for n, label, e, m, p in composed_error_table()]
+        assert rows == want
 
     def test_errors_rows_requires_n_and_variant(self):
         assert cli_main(["errors", "--which", "rows"]) == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_complex
+from conftest import coprime_plans, random_complex
 from pfadft.complexity import count_plan
 from pfadft.exactdft import dft_direct, dft_matrix
 from pfadft import pfa
@@ -380,32 +380,6 @@ def test_impulse_columns_match_dense(k):
     assert np.abs(execute(p, x) - M[:, k]).max() <= 1e-12
 
 
-# Leaf lengths for random plans; approximate kernels exist only for 3, 11, 31.
-TREE_LENGTHS = (2, 3, 4, 5, 7, 11, 31)
-
-
-@st.composite
-def coprime_plans(draw):
-    """JSON plans over random coprime factor trees, leaf kinds and scales."""
-    factors = []
-    for f in draw(st.permutations(TREE_LENGTHS))[: draw(st.integers(1, 4))]:
-        if math.gcd(f, math.prod(factors)) == 1 and math.prod(factors) * f <= 1023:
-            factors.append(f)
-
-    def shape(fs):
-        if len(fs) == 1:
-            return fs[0]
-        k = draw(st.integers(1, len(fs) - 1))
-        return [shape(fs[:k]), shape(fs[k:])]
-
-    kinds = {str(f): draw(st.sampled_from(
-        ("approx", "exact", "definition") if f in (3, 11, 31) else ("exact", "definition")))
-        for f in factors}
-    scale = draw(st.sampled_from(("none", "exact", "csd")))
-    return json.dumps({"n": math.prod(factors), "tree": shape(factors),
-                       "kernels": kinds, "scale": scale})
-
-
 @settings(deadline=None, max_examples=30)
 @given(coprime_plans(), st.integers(0, 2 ** 32 - 1))
 def test_random_trees_match_dense_and_counts(text, seed):
@@ -427,6 +401,18 @@ def test_random_trees_match_dense_and_counts(text, seed):
     elif p.scale_mode == "csd":
         assert np.array_equal(128 * vals, np.round(128 * vals))
         assert np.abs(vals - oracle).max() <= 0.02
+
+
+@settings(deadline=None, max_examples=30)
+@given(coprime_plans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_random_trees_are_linear(text, seed, batch):
+    p = plan_from_json(text)
+    rng = np.random.default_rng(seed)
+    x, y = random_complex(rng, p.n, batch), random_complex(rng, p.n, batch)
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    want = a * execute(p, x) + b * execute(p, y)
+    got = execute(p, a * x + b * y)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _ordered_trees(leaves):
