@@ -8,6 +8,7 @@ Binary64 is only used on analysis paths, never to define a kernel entry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,13 +137,20 @@ def csd_eval(code: CsdCode) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _all_codes(max_nonzero: int, frac_bits: int):
+    """Every code of the budget as (128 * value, digit count, code), sorted.
+
+    128 * value is an integer since codes carry at most 7 fractional digits,
+    and no two codes share it: the non-adjacent form of an integer is unique.
+    """
     codes = []
     for digits in product((-1, 0, 1), repeat=1 + frac_bits):
         if sum(1 for d in digits if d != 0) > max_nonzero:
             continue
         if any(a != 0 and b != 0 for a, b in zip(digits, digits[1:])):
             continue
-        codes.append(CsdCode(digits))
+        code = CsdCode(digits)
+        codes.append((sum(d << (7 - i) for i, d in enumerate(digits)), code.nonzero_count, code))
+    codes.sort(key=lambda c: c[0])
     return tuple(codes)
 
 
@@ -158,14 +166,9 @@ def csd_encode(v: float, max_nonzero: int = 3, frac_bits: int = 7) -> CsdCode:
         raise ValueError("max_nonzero must be at least 1")
     if frac_bits > 7:
         raise ValueError("frac_bits is limited to 7")
-    target = Fraction(v)
-    best = None
-    best_key = None
-    for code in _all_codes(max_nonzero, frac_bits):
-        val = csd_eval(code)
-        key = (abs(val - target), code.nonzero_count, abs(val))
-        if best_key is None or key < best_key:
-            best, best_key = code, key
-    if best is None:  # unreachable for v in range
-        raise RuntimeError("no representable CSD code")
-    return best
+    codes = _all_codes(max_nonzero, frac_bits)
+    target = Fraction(v) * 128
+    # the best code is the nearest one below or the nearest one at or above
+    i = bisect_left(codes, target, key=lambda c: c[0])
+    near = codes[max(i - 1, 0): i + 1]
+    return min(near, key=lambda c: (abs(c[0] - target), c[1], abs(c[0])))[2]

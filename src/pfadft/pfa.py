@@ -275,7 +275,7 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError("input contains non-finite values")
     y = _run_tree(plan_.tree, x, run_numpy)
     if plan_.scale_mode != "none":
-        y = apply_scale(assemble_scale(plan_), y)
+        y *= assemble_scale(plan_).values()[:, None]  # y is the pass's own fresh array
     return y[:, 0] if single else y
 
 

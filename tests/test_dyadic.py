@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,3 +143,20 @@ class TestCsd:
                         digits[i], digits[j] = si, sj
                         val = float(csd_eval(CsdCode(tuple(digits))))
                         assert err <= abs(val - v) + 1e-15
+
+    @pytest.mark.parametrize("max_nonzero,frac_bits", [(3, 7), (2, 7), (1, 4), (4, 5)])
+    def test_encode_matches_exhaustive_scan(self, max_nonzero, frac_bits):
+        # the scan over every valid code with exact Fraction keys is the
+        # definition of the tie rule: distance, then digit count, then |value|
+        codes = [CsdCode(d) for d in itertools.product((-1, 0, 1), repeat=1 + frac_bits)
+                 if sum(map(abs, d)) <= max_nonzero
+                 and all(a == 0 or b == 0 for a, b in zip(d, d[1:]))]
+        rng = random.Random(max_nonzero * 10 + frac_bits)
+        values = ([rng.uniform(1e-6, 1.999999) for _ in range(12)]
+                  + [math.sqrt(a / b) for b in (7, 9, 13) for a in range(1, b + 1, 2)]
+                  + [k / 256 for k in (1, 3, 183, 255, 257, 471)])  # midpoints of 1/128 steps
+        for v in values:
+            target = Fraction(v)
+            want = min(codes, key=lambda c: (abs(csd_eval(c) - target), c.nonzero_count,
+                                             abs(csd_eval(c))))
+            assert csd_encode(v, max_nonzero, frac_bits) == want, v

@@ -17,6 +17,7 @@ from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
                         build_index_maps, dense_matrix, execute,
                         instrumented_count, plan, plan_from_json, plan_to_json,
                         tree_leaves, unscaled)
+from pfadft.schedule import WAVE_COLUMNS
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
 
@@ -413,6 +414,19 @@ def test_random_trees_are_linear(text, seed, batch):
     want = a * execute(p, x) + b * execute(p, y)
     got = execute(p, a * x + b * y)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(deadline=None, max_examples=8)
+@given(coprime_plans(), st.integers(0, 2 ** 32 - 1))
+def test_random_trees_match_dense_in_tiles(text, seed):
+    # a batch that makes the shortest leaf's block wider than WAVE_COLUMNS,
+    # so that leaf runs op by op in tiles while longer ones may run as waves
+    p = plan_from_json(text)
+    shortest = min(leaf.n for leaf in tree_leaves(p.tree))
+    batch = WAVE_COLUMNS * shortest // p.n + 1
+    x = random_complex(np.random.default_rng(seed), p.n, batch).reshape(p.n, batch)
+    assert p.n // shortest * batch > WAVE_COLUMNS
+    assert np.abs(execute(p, x) - dense_matrix(p) @ x).max() <= 1e-9 * p.n
 
 
 def _ordered_trees(leaves):
