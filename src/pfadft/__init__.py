@@ -11,7 +11,7 @@ from .complexity import complexity_report, count_plan
 from .design import (alpha_interval, apply_scale, candidate_matrix,
                      error_energy, mape, orth_deviation, scale_vector,
                      select_optimal, sweep_alpha)
-from .dyadic import CsdCode, DyadicComplex, csd_encode, csd_eval, round_to_half
+from .dyadic import CsdCode, csd_encode, csd_eval
 from .exactdft import dft_direct, dft_matrix, fast_exact
 from .kernels import apply_kernel_fast, factorization, kernel, kernel_to_json
 from .pfa import (ExecutionPlan, assemble_scale, build_index_maps,
@@ -22,7 +22,7 @@ from .schedule import OpCount
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsdCode", "DyadicComplex", "ExecutionPlan", "OpCount",
+    "CsdCode", "ExecutionPlan", "OpCount",
     "alpha_interval", "apply_kernel_fast", "apply_scale", "assemble_scale",
     "build_index_maps", "candidate_matrix", "complexity_report",
     "cosine_probe", "count_plan",
@@ -30,7 +30,7 @@ __all__ = [
     "error_energy", "execute", "factorization", "fast_exact",
     "filter_response", "instrumented_count", "kernel",
     "kernel_to_json", "mape", "orth_deviation", "plan", "plan_from_json",
-    "plan_to_json", "response_error_curve", "round_to_half",
+    "plan_to_json", "response_error_curve",
     "row_error_table", "scale_vector", "select_optimal", "sweep_alpha",
     "unscaled", "worst_rows",
 ]

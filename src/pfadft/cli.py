@@ -224,7 +224,7 @@ def cli_main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as out:
                 return args.fn(args, out)
         return args.fn(args, sys.stdout)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,12 @@
 """Operation accounting for plans, ground kernels included.
 
 Counts come from two independent routes that the tests require to agree:
-static folds over the operation schedules, and instrumented runs that
-thread a counting scalar through the execution path. The static count of a
-plan is a sum over its leaves: a leaf of length n_leaf runs n / n_leaf
-times, whatever the tree's shape, so it contributes n / n_leaf times its
-schedule's cost; the output scale's schedule adds its own cost. A ground
+static folds over the operation schedules, and instrumented runs of
+``execute`` itself on a metered array (``pfadft.pfa.instrumented_count``).
+The static count of a plan is a sum over its leaves: a leaf of length
+n_leaf runs n / n_leaf times, whatever the tree's shape, so it contributes
+n / n_leaf times its schedule's cost; the output scale adds the count it
+folds when it is built. A ground
 kernel is the one-leaf plan ``plan(n, variant)``. Comparison rows for
 power-of-two algorithms we do not implement are stored constants and are
 flagged as such in every report.

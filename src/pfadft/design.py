@@ -8,8 +8,9 @@ deviation from orthogonality) and the optimizer returns the Pareto set.
 Each candidate carries its row-normalizing scale as an ``AssembledScale``,
 the one scale type that composed plans use as well: a plan's radicands come
 from the residue rule in ``pfadft.pfa``, one per output. A scale evaluates
-each distinct radicand or CSD code once, when it is built, and
-``apply_scale`` is the one way to apply it to a spectrum or matrix rows.
+each distinct radicand or CSD code once, when it is built. ``apply_scale``
+applies it out of place; ``execute`` and ``dense_matrix`` multiply their
+own fresh arrays by ``values()`` in place.
 
 The sweep is deliberately performed in binary64 on a binary64 root-of-unity
 matrix: the reference candidate counts this code reproduces are a property
@@ -27,15 +28,18 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import MULTIPLIER_MAX, MULTIPLIER_SET, CsdCode, csd_encode, csd_eval
-from .exactdft import dft_matrix
-from .schedule import OpCount, Schedule, scale_schedule
+from .exactdft import MAX_DEFINITION_LENGTH, dft_matrix
+from .schedule import OpCount
 
 #: closed expansion-factor interval used by every sweep
 SWEEP_INTERVAL = (0.26, 1.25)
+#: most grid points one sweep evaluates
+MAX_SWEEP_POINTS = 10 ** 7
 
 
 def quantize_half(a: np.ndarray) -> np.ndarray:
-    """Vectorized round-to-half with ties away from zero."""
+    """Round to the nearest multiple of 1/2, ties away from zero: nearest-even
+    would change kernel entries wherever alpha * F lands on a quarter multiple."""
     y = 2.0 * a
     return 0.5 * (np.sign(y) * np.floor(np.abs(y) + 0.5))
 
@@ -91,19 +95,21 @@ class AssembledScale:
     value is instead the code's exact dyadic value. At construction the
     distinct radicands are found once, and each one's CSD code and float
     value are evaluated once; ``values()`` returns the stored read-only
-    array and ``schedule()`` the scale schedule built with it.
+    array. The operation count is folded then too: in exact mode 2 mults
+    per non-unit entry, in csd mode 2(k-1) adds and 2(k-1) shifts per entry
+    whose code has k nonzero digits.
     """
 
     radicands: tuple
     mode: str                      # "none" | "exact" | "csd"
     csd_codes: tuple = field(init=False, default=None)  # per-entry CsdCode, None on unit entries
     _values: np.ndarray = field(init=False, repr=False, compare=False)
-    _schedule: Schedule = field(init=False, repr=False, compare=False)
+    _count: OpCount = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in _SCALE_MODES:
             raise ValueError(f"unknown scale mode {self.mode!r}")
-        csd_info = None
+        count = OpCount()
         if self.mode == "none":
             vals = np.ones(len(self.radicands))
         else:
@@ -111,16 +117,18 @@ class AssembledScale:
             index = [slot.setdefault(r, len(slot)) for r in self.radicands]
             if self.mode == "exact":
                 distinct = [np.sqrt(float(r)) for r in slot]
+                extra = [int(v != 1.0) for v in distinct]
             else:
                 codes = [None if r == 1 else _csd_for_radicand(r) for r in slot]
                 distinct = [1.0 if c is None else float(csd_eval(c)) for c in codes]
+                extra = [0 if c is None else c.nonzero_count - 1 for c in codes]
                 object.__setattr__(self, "csd_codes", tuple(codes[j] for j in index))
-                csd_info = {i: (distinct[j], codes[j].nonzero_count)
-                            for i, j in enumerate(index) if codes[j] is not None}
             vals = np.array(distinct, dtype=np.float64)[index]
+            k = 2 * sum(extra[j] for j in index)
+            count = OpCount(k, 0, 0) if self.mode == "exact" else OpCount(0, k, k)
         vals.flags.writeable = False
         object.__setattr__(self, "_values", vals)
-        object.__setattr__(self, "_schedule", scale_schedule(vals, csd_info))
+        object.__setattr__(self, "_count", count)
 
     def __len__(self):
         return len(self.radicands)
@@ -128,11 +136,8 @@ class AssembledScale:
     def values(self) -> np.ndarray:
         return self._values
 
-    def schedule(self) -> Schedule:
-        return self._schedule
-
     def op_count(self) -> OpCount:
-        return self._schedule.static_count()
+        return self._count
 
 
 @lru_cache(maxsize=None)
@@ -242,12 +247,19 @@ def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
     Contiguous grid points yielding the same quantized matrix coalesce into
     one candidate carrying the closed alpha interval of the run. Runs whose
     matrix leaves the multiplier set (the quantizer overshoot at the very
-    top of the interval) are dropped.
+    top of the interval) are dropped. Lengths above
+    ``MAX_DEFINITION_LENGTH`` and grids above ``MAX_SWEEP_POINTS`` points
+    are rejected before anything is allocated.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if n > MAX_DEFINITION_LENGTH:
+        raise ValueError(f"sweeps are limited to n <= {MAX_DEFINITION_LENGTH}, got {n}")
     lo, hi = interval
-    count = int(round((hi - lo) / step))
+    count = np.rint((hi - lo) / step)  # an infinite or NaN quotient fails the bound too
+    if not count < MAX_SWEEP_POINTS:
+        raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} grid points")
+    count = int(count)
     alphas = lo + step * np.arange(count + 1)
     F = dft_matrix(n)
 

@@ -1,13 +1,13 @@
-"""Exact dyadic arithmetic, the round-to-half quantizer, and CSD encoding.
+"""The kernel multiplier set and canonical signed-digit (CSD) encoding.
 
-Everything here is exact: dyadic rationals are kept as integer numerators
-over a power-of-two denominator, and CSD codes evaluate to Fractions.
-Binary64 is only used on analysis paths, never to define a kernel entry.
+Everything here is exact: a CSD code with at most 7 fractional digits is an
+integer m over 128, the codes are searched by m, and a code evaluates to a
+Fraction. Binary64 is only used on analysis paths, never to define a kernel
+entry.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,83 +17,6 @@ from itertools import product
 # Multiplier set for kernel-grade entries: {-1, -1/2, 0, 1/2, 1}.
 MULTIPLIER_SET = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
 MULTIPLIER_MAX = Fraction(1)
-
-
-@dataclass(frozen=True)
-class DyadicComplex:
-    """Complex number (re_num + j*im_num) / 2**log2_den, exact.
-
-    Instances normalize themselves so that equality is plain field equality.
-    """
-
-    re_num: int
-    im_num: int
-    log2_den: int = 0
-
-    def __post_init__(self):
-        if self.log2_den < 0:
-            raise ValueError("log2_den must be non-negative")
-        re, im, k = self.re_num, self.im_num, self.log2_den
-        while k > 0 and re % 2 == 0 and im % 2 == 0:
-            re //= 2
-            im //= 2
-            k -= 1
-        object.__setattr__(self, "re_num", re)
-        object.__setattr__(self, "im_num", im)
-        object.__setattr__(self, "log2_den", k)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.re_num, 2 ** self.log2_den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.im_num, 2 ** self.log2_den)
-
-    def to_complex(self) -> complex:
-        d = float(2 ** self.log2_den)
-        return complex(self.re_num / d, self.im_num / d)
-
-    def __add__(self, other: "DyadicComplex") -> "DyadicComplex":
-        k = max(self.log2_den, other.log2_den)
-        a = self.re_num << (k - self.log2_den)
-        b = self.im_num << (k - self.log2_den)
-        c = other.re_num << (k - other.log2_den)
-        d = other.im_num << (k - other.log2_den)
-        return DyadicComplex(a + c, b + d, k)
-
-    def __neg__(self) -> "DyadicComplex":
-        return DyadicComplex(-self.re_num, -self.im_num, self.log2_den)
-
-    def __sub__(self, other: "DyadicComplex") -> "DyadicComplex":
-        return self + (-other)
-
-    def __mul__(self, other: "DyadicComplex") -> "DyadicComplex":
-        a, b, c, d = self.re_num, self.im_num, other.re_num, other.im_num
-        return DyadicComplex(a * c - b * d, a * d + b * c, self.log2_den + other.log2_den)
-
-    def conj(self) -> "DyadicComplex":
-        return DyadicComplex(self.re_num, -self.im_num, self.log2_den)
-
-    def halve(self) -> "DyadicComplex":
-        return DyadicComplex(self.re_num, self.im_num, self.log2_den + 1)
-
-    def is_kernel_grade(self) -> bool:
-        """True when both parts lie in the multiplier set {0, +-1/2, +-1}."""
-        return self.re in MULTIPLIER_SET and self.im in MULTIPLIER_SET
-
-
-def round_to_half(x: float) -> float:
-    """Quantize to the nearest multiple of 1/2, ties away from zero.
-
-    This is the entrywise quantizer used to produce every low-complexity
-    kernel; the tie rule matters because nearest-even would change kernel
-    entries whenever the scaled input lands on an exact quarter multiple.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"round_to_half requires a finite input, got {x!r}")
-    y = 2.0 * x
-    return 0.5 * math.copysign(math.floor(abs(y) + 0.5), y)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ from .schedule import Schedule, compile_stages, run_numpy
 
 FAST_LENGTHS = (3, 11, 31)
 
+#: longest transform built from the definition: plan leaves and sweeps stop
+#: here, since a definition schedule compiles n^2 operations (about 4 s and
+#: 134 MiB already at n = 512)
+MAX_DEFINITION_LENGTH = 512
+
 
 def dft_matrix(n: int) -> np.ndarray:
     """The n x n matrix of powers of the principal n-th root of unity."""

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .design import candidate_matrix, scale_vector
-from .dyadic import DyadicComplex
 from .exactdft import a_stage_matrix, derive_core
 from .schedule import OpCount, Schedule, compile_stages, run_numpy
 
@@ -120,11 +119,9 @@ def kernel_eta(n: int) -> Fraction:
 # export
 
 def kernel_to_json(n: int) -> str:
-    """Dense kernel as exact dyadic triples, for external verification."""
-    T = kernel(n)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            d = DyadicComplex(int(round(2 * T[i, j].real)), int(round(2 * T[i, j].imag)), 1)
-            entries.append([d.re_num, d.im_num, d.log2_den])
+    """Dense kernel as exact dyadic triples [a, b, k], entry (a + j b) / 2^k with
+    k = 0 when both parts are integers and 1 otherwise, for external verification."""
+    T2 = np.rint(2 * kernel(n)).ravel()
+    entries = [[a // 2, b // 2, 0] if a % 2 == 0 and b % 2 == 0 else [a, b, 1]
+               for a, b in zip(T2.real.astype(int).tolist(), T2.imag.astype(int).tolist())]
     return json.dumps({"n": n, "alpha": "9/8", "entries": entries})

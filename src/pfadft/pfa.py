@@ -11,7 +11,9 @@ lengths n_1, ..., n_L (Burrus & Eschenbacher, IEEE TASSP 1981): input m
 goes to grid cell (m mod n_l)_l, and cell (i_l) goes to output
 sum_l i_l * (n / n_l) mod n. A plan runs as one pass over that grid: one
 gather, each leaf's schedule along its own axis, one scatter. The leaf
-calls always run right to left over the leaf sequence.
+calls always run right to left over the leaf sequence. The same pass
+counts operations: ``instrumented_count`` runs ``execute`` on a metered
+array, with no second executor.
 
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
@@ -38,11 +40,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import _SCALE_MODES, AssembledScale, apply_scale, make_scale
-from .exactdft import (FAST_LENGTHS, dft_matrix, exact_definition_schedule,
-                       exact_fast_schedule)
+from .design import _SCALE_MODES, AssembledScale, make_scale
+from .exactdft import (FAST_LENGTHS, MAX_DEFINITION_LENGTH, dft_matrix,
+                       exact_definition_schedule, exact_fast_schedule)
 from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel, kernel_eta
-from .schedule import CountingComplex, Tally, run_counting, run_numpy
+from .schedule import OpCount, metered, run_numpy
 
 HYBRID_LEGS = {
     "I": frozenset({3}),
@@ -87,11 +89,6 @@ def build_index_maps(*lengths: int) -> IndexMap:
 
 # ---------------------------------------------------------------------------
 # plan trees
-
-#: longest leaf accepted; a longer one can only run by definition, which
-#: compiles n^2 operations (about 4 s and 134 MiB already at n = 512)
-MAX_DEFINITION_LENGTH = 512
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -244,16 +241,15 @@ def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_tree(tree, arr, runner):
+def _run_tree(tree, arr):
     """Apply the tree transform to an (n, batch) block in one pass over the
-    CRT grid; runner executes leaf schedules so the same pass serves the
-    fast and the instrumented paths."""
+    CRT grid; a metered block stays metered throughout."""
     leaves = tree_leaves(tree)
     imap = build_index_maps(*(leaf.n for leaf in leaves))
     y = arr[imap.forward].reshape(*imap.lengths, arr.shape[1])
     for axis in reversed(range(len(leaves))):
         fibres = y.swapaxes(0, axis)
-        out = runner(leaf_schedule(leaves[axis]), fibres.reshape(leaves[axis].n, -1))
+        out = run_numpy(leaf_schedule(leaves[axis]), fibres.reshape(leaves[axis].n, -1))
         y = out.reshape(fibres.shape).swapaxes(0, axis)
     out = np.empty_like(arr)
     out[imap.inverse] = y.reshape(arr.shape)
@@ -262,7 +258,9 @@ def _run_tree(tree, arr, runner):
 
 def execute(plan_: ExecutionPlan, x) -> np.ndarray:
     """Run a plan on a signal (or a batch of column signals)."""
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asanyarray(x, dtype=np.complex128)  # a metered signal stays metered
+    if isinstance(x, np.matrix):  # whose * is a matrix product
+        x = x.A
     if x.ndim not in (1, 2):
         raise ValueError("input must be a 1-D signal or a 2-D batch of column signals, "
                          f"got a {x.ndim}-D array")
@@ -273,7 +271,7 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    y = _run_tree(plan_.tree, x, run_numpy)
+    y = _run_tree(plan_.tree, x)
     if plan_.scale_mode != "none":
         y *= assemble_scale(plan_).values()[:, None]  # y is the pass's own fresh array
     return y[:, 0] if single else y
@@ -284,29 +282,20 @@ def unscaled(plan_: ExecutionPlan, x) -> np.ndarray:
     return execute(ExecutionPlan(plan_.tree, "none", plan_.variant_label), x)
 
 
-def instrumented_count(plan_: ExecutionPlan, rng=None):
-    """Execute once with counting scalars and return the measured OpCount.
+def instrumented_count(plan_: ExecutionPlan, rng=None) -> OpCount:
+    """Run ``execute`` once on a metered signal and return what it charged.
 
-    The counting scalars flow through the identical permutation and
-    schedule stream as the fast path; the tally is whatever arithmetic the
-    run actually performed.
+    The metered array (see ``pfadft.schedule.Metered``) takes the same
+    gather, waves or tiles, scatter and in-place scale as any other input,
+    and its output must equal the plain run's bit for bit.
     """
     rng = rng or np.random.default_rng(0)
     n = plan_.n
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    tally = Tally()
-    arr = np.empty((n, 1), dtype=object)
-    for i in range(n):
-        arr[i, 0] = CountingComplex(x[i].real, x[i].imag, tally)
-    y = _run_tree(plan_.tree, arr, run_counting)
-    if plan_.scale_mode != "none":
-        sched = assemble_scale(plan_).schedule()
-        y = run_counting(sched, y)
-    ref = execute(plan_, x)
-    got = np.array([v.to_complex() for v in y[:, 0]])
-    if np.max(np.abs(got - ref)) > 1e-9 * max(1.0, np.max(np.abs(ref))):
-        raise AssertionError("instrumented run disagrees with the fast path")
-    return tally.as_opcount()
+    m = metered(x)
+    if not np.array_equal(execute(plan_, m), execute(plan_, x)):
+        raise AssertionError("metered run disagrees with the plain run")
+    return m.op_count()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +319,7 @@ def dense_matrix(plan_: ExecutionPlan) -> np.ndarray:
     M = np.empty((plan_.n, plan_.n), dtype=np.complex128)
     M[np.ix_(imap.inverse, imap.forward)] = _kron_tree(plan_.tree)
     if plan_.scale_mode != "none":
-        M = apply_scale(assemble_scale(plan_), M)
+        M *= assemble_scale(plan_).values()[:, None]  # M is its own fresh array
     return M
 
 

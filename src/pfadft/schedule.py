@@ -2,11 +2,12 @@
 
 A kernel's fast algorithm is compiled once from its stage matrices into a
 flat operation list. One table keyed by opcode gives each operation its
-static cost, its vectorized numpy action and its counting action, so the
-same list drives the numpy executor, the instrumented executor that threads
-a counting scalar through the identical operation stream, and the static
-operation count. The counting scalar meters its own arithmetic, which keeps
-the instrumented count an independent check on the static one.
+static cost and its vectorized numpy action, so the same list drives the
+executor and the static operation count. The instrumented count runs the
+same executor on a ``Metered`` array: an ndarray subclass that charges each
+numpy call from the ufunc and the values of its constant operand, never
+from the opcode table, so it is an independent check on the static count
+that measures the code which actually runs.
 
 The numpy executor runs a list in one of two forms, chosen by the width of
 the block. A narrow block runs as compiled waves: every write gets a fresh
@@ -57,7 +58,6 @@ LC = 6      # dst = (p + j q) * src, p,q in {+-1/2, +-1}, both nonzero
 MULRE = 7   # dst = c * src, general real c    (2 mults)
 MULIM = 8   # dst = j c * src, general real c  (2 mults)
 MULCC = 9   # dst = (a + j b) * src, general   (3 mults + 3 adds)
-CSDMUL = 10  # dst = v * src, v a CSD constant (2(k-1) adds + 2(k-1) shifts)
 
 
 @dataclass(frozen=True)
@@ -183,105 +183,96 @@ def compile_stages(stages, n: int) -> Schedule:
     return Schedule(tuple(ops), n, width, base, n_slots)
 
 
-def scale_schedule(values, csd_info=None) -> Schedule:
-    """Schedule applying a positive diagonal; unit entries are free.
-
-    ``csd_info`` maps index -> (float value, nonzero digit count) to apply
-    the constant as its signed shift-add expansion instead of a general
-    multiplication.
-    """
-    n = len(values)
-    ops = []
-    for i, v in enumerate(values):
-        if csd_info is not None and i in csd_info:
-            val, k = csd_info[i]
-            ops.append(Op(CSDMUL, i, i, -1, val, k))
-        elif v != 1.0:
-            ops.append(Op(MULRE, i, i, -1, float(v), 0.0))
-    return Schedule(tuple(ops), n, n, 0, n)
-
-
 # ---------------------------------------------------------------------------
-# instrumented execution
+# metered execution
 
-class Tally:
-    """Mutable counter shared by all scalars of one instrumented run."""
+class Metered(np.ndarray):
+    """Complex array whose numpy arithmetic is charged to a shared tally.
 
-    __slots__ = ("real_mults", "real_adds", "bit_shifts")
+    ``tally`` is a [mults, adds, shifts] list. Views, copies and arrays
+    allocated ``*_like`` a metered array share it, so a metered signal runs
+    through the unchanged executors. Each ufunc call is charged per output
+    element from the ufunc and the values of its constant operand:
 
-    def __init__(self):
-        self.real_mults = 0
-        self.real_adds = 0
-        self.bit_shifts = 0
-
-    def as_opcount(self) -> OpCount:
-        return OpCount(self.real_mults, self.real_adds, self.bit_shifts)
-
-
-class CountingComplex:
-    """Complex scalar that meters every real operation it performs.
-
-    The instrumented executor threads these through the same operation
-    stream the fast path runs, so the measured counts reflect the actual
-    arithmetic, not a model of it.
+      * add or subtract: 2 adds;
+      * multiply by 0, +-1 or +-j: free; by +-1/2 or +-j/2: 2 shifts;
+      * multiply by p + jq with p, q in {+-1/2, +-1}: 2 adds, plus 2 shifts
+        for each part that is 1/2;
+      * multiply by a real c with 128 c an integer (a CSD value): 2(k-1)
+        adds and 2(k-1) shifts, k the nonzero digits of the non-adjacent
+        form of 128 |c|;
+      * multiply by any other real or pure imaginary constant: 2 mults, and
+        by a general complex constant 3 mults + 3 adds;
+      * every other ufunc (negation, comparisons, reductions): free.
     """
 
-    __slots__ = ("re", "im", "tally")
+    def __array_finalize__(self, obj):
+        self.tally = getattr(obj, "tally", None)
 
-    def __init__(self, re, im, tally):
-        self.re = re
-        self.im = im
-        self.tally = tally
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        args = [a.view(np.ndarray) if isinstance(a, Metered) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Metered) else o
+                                  for o in out)
+        result = getattr(ufunc, method)(*args, **kwargs)
+        if method != "__call__":
+            return result
+        if out is None and isinstance(result, np.ndarray):
+            result = result.view(Metered)
+            result.tally = self.tally
+        target = result if out is None else out[0]
+        if ufunc in (np.add, np.subtract):
+            _charge(self.tally, (0, 2, 0), target.size)
+        elif ufunc is np.multiply:
+            consts = [a for a in inputs if not isinstance(a, Metered)]
+            if len(consts) != 1:
+                raise TypeError("a metered product needs one constant operand")
+            c = np.asarray(consts[0], dtype=np.complex128)
+            values, reps = np.unique(c, return_counts=True)
+            per = np.array([_mul_charge(v) for v in values.tolist()]).T @ reps
+            _charge(self.tally, per.tolist(), target.size // c.size)
+        return target
 
-    def __add__(self, other):
-        self.tally.real_adds += 2
-        return CountingComplex(self.re + other.re, self.im + other.im, self.tally)
+    def op_count(self) -> OpCount:
+        return OpCount(*self.tally)
 
-    def __sub__(self, other):
-        self.tally.real_adds += 2
-        return CountingComplex(self.re - other.re, self.im - other.im, self.tally)
 
-    def __neg__(self):
-        return CountingComplex(-self.re, -self.im, self.tally)
+def metered(x) -> Metered:
+    """A complex128 copy of x that meters its arithmetic from a zero tally."""
+    m = np.array(x, dtype=np.complex128).view(Metered)
+    m.tally = [0, 0, 0]
+    return m
 
-    def halve(self, sign2):
-        self.tally.bit_shifts += 2
-        s = 0.5 * sign2
-        return CountingComplex(self.re * s, self.im * s, self.tally)
 
-    def mulj(self, sign):
-        return CountingComplex(-sign * self.im, sign * self.re, self.tally)
+def _charge(tally, charge, elements):
+    """Add each part of charge times the element count to a tally, if any."""
+    if tally is not None:
+        for i, k in enumerate(charge):
+            tally[i] += k * elements
 
-    def jhalve(self, sign2):
-        self.tally.bit_shifts += 2
-        s = 0.5 * sign2
-        return CountingComplex(-s * self.im, s * self.re, self.tally)
 
-    def mul_lc(self, p, q):
-        self.tally.real_adds += 2
-        self.tally.bit_shifts += (2 if abs(p) == 0.5 else 0) + (2 if abs(q) == 0.5 else 0)
-        return CountingComplex(p * self.re - q * self.im, p * self.im + q * self.re, self.tally)
+def _naf_weight(m: int) -> int:
+    """Nonzero digits in the non-adjacent form of m >= 0 (Reitwiesner 1960):
+    they sit where the bits of 3m and m differ, the lowest bit excepted."""
+    return ((3 * m ^ m) >> 1).bit_count()
 
-    def mul_re(self, c):
-        self.tally.real_mults += 2
-        return CountingComplex(c * self.re, c * self.im, self.tally)
 
-    def mul_im(self, c):
-        self.tally.real_mults += 2
-        return CountingComplex(-c * self.im, c * self.re, self.tally)
-
-    def mul_cc(self, a, b):
-        self.tally.real_mults += 3
-        self.tally.real_adds += 3
-        return CountingComplex(a * self.re - b * self.im, a * self.im + b * self.re, self.tally)
-
-    def mul_csd(self, value, k):
-        self.tally.real_adds += 2 * (k - 1)
-        self.tally.bit_shifts += 2 * (k - 1)
-        return CountingComplex(value * self.re, value * self.im, self.tally)
-
-    def to_complex(self):
-        return complex(self.re, self.im)
+def _mul_charge(c: complex) -> tuple:
+    """(mults, adds, shifts) of multiplying one complex value by c."""
+    re, im = abs(c.real), abs(c.imag)
+    if re == 0.0 or im == 0.0:
+        v = re + im
+        if v in (0.0, 1.0):
+            return (0, 0, 0)
+        if v == 0.5:
+            return (0, 0, 2)
+        if im == 0.0 and (128 * v).is_integer():
+            k = _naf_weight(int(128 * v))
+            return (0, 2 * (k - 1), 2 * (k - 1))
+        return (2, 0, 0)
+    if re in (0.5, 1.0) and im in (0.5, 1.0):
+        return (0, 2, 2 * (re == 0.5) + 2 * (im == 0.5))
+    return (3, 3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +282,6 @@ class _OpKind(NamedTuple):
     cost: Callable    # op -> static OpCount
     const: Callable   # op -> constant operand of the numpy action, or None
     numpy: Callable   # (out, src1, src2, const) -> None, writes out; rows or blocks of rows
-    count: Callable   # (slots, op) -> row of metered scalars for slots[op.dst]
 
 
 _FREE = OpCount()
@@ -302,11 +292,6 @@ _MULTS = OpCount(2, 0, 0)
 
 def _lc_cost(op: Op) -> OpCount:
     return OpCount(0, 2, (2 if abs(op.p) == 0.5 else 0) + (2 if abs(op.q) == 0.5 else 0))
-
-
-def _csd_cost(op: Op) -> OpCount:
-    k = int(op.q)
-    return OpCount(0, 2 * (k - 1), 2 * (k - 1))
 
 
 def _np_cp(out, a, b, sign):
@@ -321,37 +306,32 @@ def _np_mul(out, a, b, c):
 
 
 def _np_mulcc(out, z, b, pq):
+    """(p + jq) z, spelled out so the result does not depend on how the
+    vectorized complex multiply fuses its operations.
+
+    It runs on plain views and charges a metered ``out`` as one unit at the
+    cost convention's 3 mults + 3 adds. That is a known gap: the spelled-out
+    form performs 4 mults and 2 adds. The 3-mult form would close it, but
+    would move the last bits of every by-definition leaf's output.
+    """
     p, q = pq
-    # spelled out so the result does not depend on how the vectorized
-    # complex multiply fuses its operations
-    np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out)
+    z = z.view(np.ndarray)
+    np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out.view(np.ndarray))
+    _charge(getattr(out, "tally", None), (3, 3, 0), out.size)
 
 
 _OPCODES = {
-    CP: _OpKind(lambda op: _FREE, lambda op: op.p, _np_cp,
-                lambda s, op: s[op.src1] if op.p > 0 else [-v for v in s[op.src1]]),
-    ADD: _OpKind(lambda op: _ADDS, lambda op: None,
-                 lambda out, a, b, c: np.add(a, b, out=out),
-                 lambda s, op: [u + v for u, v in zip(s[op.src1], s[op.src2])]),
+    CP: _OpKind(lambda op: _FREE, lambda op: op.p, _np_cp),
+    ADD: _OpKind(lambda op: _ADDS, lambda op: None, lambda out, a, b, c: np.add(a, b, out=out)),
     SUB: _OpKind(lambda op: _ADDS, lambda op: None,
-                 lambda out, a, b, c: np.subtract(a, b, out=out),
-                 lambda s, op: [u - v for u, v in zip(s[op.src1], s[op.src2])]),
-    HALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5 * op.p, _np_mul,
-                  lambda s, op: [v.halve(op.p) for v in s[op.src1]]),
-    MULJ: _OpKind(lambda op: _FREE, lambda op: 1j * op.p, _np_mul,
-                  lambda s, op: [v.mulj(op.p) for v in s[op.src1]]),
-    JHALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5j * op.p, _np_mul,
-                   lambda s, op: [v.jhalve(op.p) for v in s[op.src1]]),
-    LC: _OpKind(_lc_cost, lambda op: complex(op.p, op.q), _np_mul,
-                lambda s, op: [v.mul_lc(op.p, op.q) for v in s[op.src1]]),
-    MULRE: _OpKind(lambda op: _MULTS, lambda op: op.p, _np_mul,
-                   lambda s, op: [v.mul_re(op.p) for v in s[op.src1]]),
-    MULIM: _OpKind(lambda op: _MULTS, lambda op: 1j * op.p, _np_mul,
-                   lambda s, op: [v.mul_im(op.p) for v in s[op.src1]]),
-    MULCC: _OpKind(lambda op: OpCount(3, 3, 0), lambda op: (op.p, op.q), _np_mulcc,
-                   lambda s, op: [v.mul_cc(op.p, op.q) for v in s[op.src1]]),
-    CSDMUL: _OpKind(_csd_cost, lambda op: op.p, _np_mul,
-                    lambda s, op: [v.mul_csd(op.p, int(op.q)) for v in s[op.src1]]),
+                 lambda out, a, b, c: np.subtract(a, b, out=out)),
+    HALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5 * op.p, _np_mul),
+    MULJ: _OpKind(lambda op: _FREE, lambda op: 1j * op.p, _np_mul),
+    JHALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5j * op.p, _np_mul),
+    LC: _OpKind(_lc_cost, lambda op: complex(op.p, op.q), _np_mul),
+    MULRE: _OpKind(lambda op: _MULTS, lambda op: op.p, _np_mul),
+    MULIM: _OpKind(lambda op: _MULTS, lambda op: 1j * op.p, _np_mul),
+    MULCC: _OpKind(lambda op: OpCount(3, 3, 0), lambda op: (op.p, op.q), _np_mulcc),
 }
 
 
@@ -434,7 +414,7 @@ def _read(S, idx):
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
-    S = np.empty((cw.n_rows, x.shape[1]), dtype=np.complex128)
+    S = np.empty_like(x, shape=(cw.n_rows, x.shape[1]))
     S[: x.shape[0]] = x
     for w in cw.waves:
         _OPCODES[w.code].numpy(S[w.dst], _read(S, w.src1),
@@ -444,8 +424,8 @@ def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
 
 def _run_tiles(sched: Schedule, x: np.ndarray) -> np.ndarray:
     width = x.shape[1]
-    out = np.empty((sched.n_out, width), dtype=np.complex128)
-    tile = np.zeros((sched.n_slots, min(width, TILE)), dtype=np.complex128)
+    out = np.empty_like(x, shape=(sched.n_out, width))
+    tile = np.zeros_like(x, shape=(sched.n_slots, min(width, TILE)))
     for c in range(0, width, TILE):
         s = tile[:, : min(TILE, width - c)]
         s[: sched.n_in] = x[:, c: c + TILE]
@@ -462,19 +442,11 @@ def run_numpy(sched: Schedule, x: np.ndarray) -> np.ndarray:
     Blocks of at most ``WAVE_COLUMNS`` columns run as the schedule's
     compiled waves, unless the wave slot array would outgrow one tile of
     the op-by-op form; other blocks run op by op over ``TILE``-column tiles.
+    A ``Metered`` block stays metered through either form.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
+    x = np.asanyarray(x, dtype=np.complex128, order="C")
     width = x.shape[1]
     if width <= WAVE_COLUMNS and (sched.n_in + len(sched.ops)) * width <= sched.n_slots * TILE:
         return _run_waves(sched.waves(), x)
     return _run_tiles(sched, x)
 
-
-def run_counting(sched: Schedule, x) -> np.ndarray:
-    """Instrumented executor over a (n_in, batch) object array of scalars."""
-    x = np.asarray(x, dtype=object)
-    slots = np.empty((sched.n_slots, x.shape[1]), dtype=object)
-    slots[: sched.n_in] = x
-    for op in sched.ops:
-        slots[op.dst] = _OPCODES[op.code].count(slots, op)
-    return slots[sched.out_base: sched.out_base + sched.n_out].copy()

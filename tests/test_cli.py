@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfadft.analysis import composed_error_table
 from pfadft.cli import cli_main
@@ -67,6 +71,13 @@ class TestTransform:
         src.write_text(json.dumps({"n": 3, "data": [1.0, 0.0, 0.0]}))
         rc = cli_main(["transform", "--n", "3", "--variant", "exact",
                        "--input", str(src), "--output", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_json_integer_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "x.json"
+        src.write_text('{"data": [[1, 0], [%d, 0], [0, 0]]}' % 10 ** 400)
+        rc = cli_main(["transform", "--n", "3", "--variant", "exact", "--input", str(src)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -174,3 +185,93 @@ class TestUsageErrors:
 
     def test_no_subcommand_exits_2(self):
         assert cli_main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argv and input file gives exit 0, 1 or 2, never a traceback.
+# Every transform that runs has n <= 64; larger n and finer sweep steps are
+# drawn only where they are rejected before any work.
+
+_VARIANTS = st.sampled_from(["exact", "exact-definition", "unscaled", "scaled", "csd",
+                             "hybrid-I-csd", "bogus", ""])
+_SMALL_N = st.sampled_from([str(n) for n in range(-2, 65)] + ["x", "3.5"])
+_NUMBER = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-5, 5)
+           | st.sampled_from([2 ** 1024, -10 ** 400]))  # beyond binary64
+_SIGNAL_JSON = st.fixed_dictionaries(
+    {"data": st.lists(st.tuples(_NUMBER, _NUMBER).map(list), max_size=64)
+     | st.lists(st.lists(_NUMBER, max_size=3) | st.text(max_size=3) | st.none(), max_size=64)},
+    optional={"n": st.integers(-1, 65) | st.none() | st.text(max_size=2)})
+_JUNK_JSON = st.recursive(st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+                          lambda kids: st.lists(kids, max_size=3)
+                          | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                          max_leaves=8)
+_CSV_LINE = st.lists(st.sampled_from(["1.0", "-0.5", "2", "nan", "inf", "1e400", "x", ""])
+                     | st.text(max_size=3), max_size=3).map(",".join)
+
+
+@st.composite
+def _signal_file(draw):
+    """(suffix, content): a JSON or CSV signal, well formed or not."""
+    if draw(st.booleans()):
+        return ".json", draw(st.one_of(_SIGNAL_JSON.map(json.dumps), _JUNK_JSON.map(json.dumps),
+                                       st.text(max_size=20)))
+    return ".csv", "\n".join(draw(st.lists(_CSV_LINE, max_size=64)))
+
+
+@st.composite
+def _cli_args(draw):
+    """argv with {input} and {output} placeholders, and the input file."""
+    fmt = ["--format", draw(st.sampled_from(["csv", "text", "json"] * 3 + ["xml"]))]
+    out = ["--output", draw(st.sampled_from(["-", "{output}", "{missing}/out"]))]
+    cmd = draw(st.sampled_from(["transform"] * 4 + ["sweep", "errors", "freqresp",
+                                                    "probe-cosine", "frobnicate", "--help"]))
+    if cmd == "transform":
+        args = ["--n", draw(_SMALL_N), "--variant", draw(_VARIANTS), "--input", "{input}",
+                "--output", draw(st.sampled_from(["-", "{output}"]))]
+        for flag in ("--input-format", "--output-format"):
+            if draw(st.booleans()):
+                args += [flag, draw(st.sampled_from(["json", "csv"] * 4 + ["yaml"]))]
+    elif cmd == "sweep":
+        if draw(st.booleans()):
+            n, step = draw(st.integers(-1, 64)), draw(st.sampled_from(["0.2", "0.05", "2"]))
+        else:  # rejected before any grid or matrix is built
+            n, step = draw(st.sampled_from([(513, "0.01"), (10 ** 9, "0.01"), (3, "1e-9"),
+                                            (64, "5e-8"), (3, "1e-320"), (3, "nan"), (3, "inf"),
+                                            (3, "0"), (3, "-1")]))
+        args = ["--n", str(n), "--step", step] + fmt + out
+    elif cmd == "errors":
+        args = ["--which", draw(st.sampled_from(["ground", "rows", "all"]))]
+        if draw(st.booleans()):
+            args += ["--n", draw(_SMALL_N)]
+        if draw(st.booleans()):
+            args += ["--variant", draw(_VARIANTS)]
+        args += fmt + out
+    elif cmd == "freqresp":
+        args = ["--n", draw(_SMALL_N), "--variant", draw(_VARIANTS),
+                "--rows", draw(st.sampled_from(["all", "0", "1,2", "99", "-1", "x", ""])),
+                "--grid", draw(st.sampled_from(["-4", "0", "16", "128", "256"]))]
+        args += (["--error"] if draw(st.booleans()) else []) + fmt + out
+    elif cmd == "probe-cosine":
+        args = ["--n", draw(_SMALL_N), "--bin", str(draw(st.integers(-2, 40))),
+                "--variant", draw(_VARIANTS)] + fmt + out
+    else:
+        args = []
+    if draw(st.integers(0, 9)) == 0:  # a required flag dropped
+        args = args[2:]
+    return [cmd] + args, draw(_signal_file())
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cli_args())
+def test_cli_fuzz_exits_cleanly(case):
+    argv, (suffix, content) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "signal" + suffix)
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        paths = {"input": src, "output": os.path.join(tmp, "out" + suffix),
+                 "missing": os.path.join(tmp, "no-such-dir")}
+        argv = [a.format(**paths) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(argv)
+    assert rc in (0, 1, 2)

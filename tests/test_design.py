@@ -1,13 +1,15 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pfadft import design
 from pfadft.design import (CandidateApproximation, alpha_interval,
                            apply_scale, candidate_matrix, error_energy, mape,
                            orth_deviation, quantize_half, scale_vector,
                            select_optimal, sweep_alpha)
-from pfadft.exactdft import dft_matrix
+from pfadft.exactdft import MAX_DEFINITION_LENGTH, dft_matrix
 
 
 class TestAlphaInterval:
@@ -143,6 +145,29 @@ class TestSweep:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             sweep_alpha(3, step=0.0)
+
+    @pytest.mark.parametrize("n,step", [
+        (MAX_DEFINITION_LENGTH + 1, 1e-5), (10 ** 9, 1e-5),
+        (3, 5e-8), (3, 1e-9), (3, 1e-320), (3, float("nan")), (3, float("inf")),
+    ])
+    def test_unbounded_sweeps_rejected_before_allocating(self, n, step):
+        # unbounded, (3, 5e-8) would allocate a 160 MB grid and (513, 1e-5)
+        # a 4 MB matrix; the 1 MiB bound catches both
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limited to n|grid points|positive"):
+                sweep_alpha(n, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_bound_counts_points(self, monkeypatch):
+        monkeypatch.setattr(design, "MAX_SWEEP_POINTS", 100)
+        lo, hi = design.SWEEP_INTERVAL
+        assert sweep_alpha(3, step=(hi - lo) / 99)  # 100 points
+        with pytest.raises(ValueError, match="more than 100 grid points"):
+            sweep_alpha(3, step=(hi - lo) / 100)
 
     @pytest.mark.parametrize("n", [3, 11])
     def test_matches_literal_scan(self, n):

@@ -3,14 +3,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pfadft.dyadic import (CsdCode, DyadicComplex, csd_encode, csd_eval,
-                           round_to_half)
+from pfadft.design import quantize_half
+from pfadft.dyadic import CsdCode, csd_encode, csd_eval
 
 
 class TestRoundToHalf:
+    """The entrywise round-to-half quantizer, ``design.quantize_half``."""
+
     @pytest.mark.parametrize("x,expected", [
         (1.125, 1.0),        # round(2.25) = 2
         (-0.974, -1.0),      # round(-1.948) = -2
@@ -21,59 +24,22 @@ class TestRoundToHalf:
         (0.75, 1.0),
     ])
     def test_examples(self, x, expected):
-        assert round_to_half(x) == expected
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            round_to_half(bad)
+        assert quantize_half(np.array([x]))[0] == expected
+        assert quantize_half(x) == expected
 
     @given(st.floats(-1e6, 1e6))
     def test_odd(self, x):
-        assert round_to_half(-x) == -round_to_half(x)
+        assert quantize_half(-x) == -quantize_half(x)
 
     @given(st.floats(-1e6, 1e6))
     def test_error_bounded_by_quarter(self, x):
-        assert abs(round_to_half(x) - x) <= 0.25 + 1e-9
+        assert abs(quantize_half(x) - x) <= 0.25 + 1e-9
 
     @given(st.floats(-1e3, 1e3))
     def test_result_is_half_integer(self, x):
-        y = round_to_half(x)
+        y = float(quantize_half(x))
         assert y == math.floor(2 * y) / 2 or y == math.ceil(2 * y) / 2
         assert float(2 * y).is_integer()
-
-
-class TestDyadicComplex:
-    def test_normalization(self):
-        assert DyadicComplex(2, 4, 1) == DyadicComplex(1, 2, 0)
-        assert DyadicComplex(0, 0, 5) == DyadicComplex(0, 0, 0)
-
-    def test_values(self):
-        d = DyadicComplex(-1, 3, 1)
-        assert d.re == Fraction(-1, 2) and d.im == Fraction(3, 2)
-        assert d.to_complex() == complex(-0.5, 1.5)
-
-    def test_arithmetic_exact(self):
-        a = DyadicComplex(1, -2, 1)    # (1 - 2j)/2
-        b = DyadicComplex(3, 1, 2)     # (3 + j)/4
-        s = a + b
-        assert (s.re, s.im) == (a.re + b.re, a.im + b.im)
-        p = a * b
-        want = complex(a.to_complex() * b.to_complex())
-        assert p.to_complex() == want
-        assert (a - a).to_complex() == 0
-        assert a.conj().im == -a.im
-        assert a.halve().re == a.re / 2
-
-    def test_kernel_grade(self):
-        assert DyadicComplex(-1, 1, 1).is_kernel_grade()   # -1/2 + j/2
-        assert DyadicComplex(1, -2, 1).is_kernel_grade()   # 1/2 - j
-        assert not DyadicComplex(3, 0, 1).is_kernel_grade()  # 3/2
-        assert not DyadicComplex(1, 0, 2).is_kernel_grade()  # 1/4
-
-    def test_negative_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            DyadicComplex(1, 0, -1)
 
 
 # CSD constants applied to the composed output scales: value and |error|

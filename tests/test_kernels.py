@@ -196,3 +196,7 @@ def test_kernel_json_export_roundtrip():
     assert obj["n"] == 3
     got = np.array([complex(r, i) / 2 ** k for r, i, k in obj["entries"]]).reshape(3, 3)
     assert np.array_equal(got, kernel(3))
+    # integers over 2, reduced to integers over 1 when both parts are integers
+    for n in KERNEL_LENGTHS:
+        entries = json.loads(kernel_to_json(n))["entries"]
+        assert all(k == 0 or (k == 1 and (r % 2 or i % 2)) for r, i, k in entries)

@@ -223,6 +223,50 @@ class TestInputValidation:
             Leaf(n, "exact")
 
 
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-40, 1100) | st.floats()
+    | st.sampled_from(["approx", "exact", "definition", "none", "csd", "3", "11", "31"])
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "tree", "kernels", "scale", "1", "3", "11", "31", "03"])
+        | st.text(max_size=3), kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _plan_like(draw):
+    """Objects shaped like plans: leaf lengths and kinds, each key well typed
+    or not, and an n that mostly agrees with the tree."""
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 11, 31, 512, 513]), max_size=3))
+    tree = draw(st.recursive(st.sampled_from(lengths or [3]),
+                             lambda t: st.lists(t, min_size=2, max_size=2), max_leaves=3))
+    kinds = {str(m): draw(st.sampled_from(["approx", "exact", "definition", "x"]))
+             for m in lengths}
+
+    def flat(t):
+        return [t] if isinstance(t, int) else flat(t[0]) + flat(t[1])
+    obj = {"n": math.prod(flat(tree)), "tree": tree, "kernels": kinds,
+           "scale": draw(st.sampled_from(["none", "exact", "csd", "bogus"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_VALUE)
+    return obj
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUE.map(json.dumps) | _plan_like().map(json.dumps) | st.text(max_size=30))
+def test_plan_from_json_fuzz(text):
+    # no leaf is compiled here, so even 512-point definition leaves are cheap
+    try:
+        p = plan_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(p, ExecutionPlan)
+    assert p.n == json.loads(text)["n"]
+
+
 class TestSizeBound:
     """Leaves that could only run by definition stop at 512 points, before
     any schedule is compiled."""
@@ -290,7 +334,6 @@ class TestAssembledScale:
         assert assemble_scale(plan(1023, "csd")) is sc
         assert sc.values() is sc.values()
         assert not sc.values().flags.writeable
-        assert sc.schedule() is sc.schedule()
 
     def test_csd_codes_cover_every_nonunit_entry(self):
         sc = assemble_scale(plan(1023, "csd"))
@@ -350,6 +393,13 @@ class TestVariantExecution:
         rhs = a * execute(p, x) + b * execute(p, y)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    def test_matrix_input_is_a_plain_batch(self, rng):
+        p = plan(33, "csd")
+        x = random_complex(rng, 33, 2)
+        assert np.array_equal(execute(p, np.matrix(x)), execute(p, x))
+        assert type(execute(p, np.matrix(x))) is np.ndarray
+
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             execute(plan(33, "exact"), random_complex(rng, 32))
@@ -364,6 +414,7 @@ class TestVariantExecution:
         got = instrumented_count(plan(33, "csd"))
         # 3 calls of the 11-point kernel, 11 of the 3-point, plus 32 scaled bins
         assert got.as_tuple() == (0, 3 * 130 + 11 * 12 + 32 * 4, 3 * 40 + 11 * 2 + 32 * 4)
+        assert json.loads(json.dumps(got.as_tuple())) == list(got.as_tuple())
 
 
 @lru_cache(maxsize=1)

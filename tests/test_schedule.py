@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pfadft import schedule
-from pfadft.pfa import Leaf, assemble_scale, leaf_schedule, plan
-from pfadft.schedule import (ADD, CP, CSDMUL, HALF, JHALF, LC, MULCC, MULIM, MULJ,
-                             MULRE, SUB, TILE, WAVE_COLUMNS, CountingComplex, Op,
-                             OpCount, Schedule, Tally, compile_stages, run_counting,
-                             run_numpy, scale_schedule)
+from pfadft.design import make_scale
+from pfadft.dyadic import _all_codes
+from pfadft.pfa import Leaf, leaf_schedule
+from pfadft.schedule import (ADD, CP, HALF, JHALF, LC, MULCC, MULIM, MULJ, MULRE,
+                             SUB, TILE, WAVE_COLUMNS, Metered, Op, OpCount, Schedule,
+                             _naf_weight, compile_stages, metered, run_numpy)
 
 
 def _random_stages(rng):
@@ -59,29 +62,30 @@ def test_general_complex_entry_cost():
 
 
 def test_counting_executor_matches_static(rng):
+    # the counting run is the executor itself on a metered block
     stages = _random_stages(rng)
     sched = compile_stages(stages, 3)
-    tally = Tally()
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    arr = np.empty((3, 1), dtype=object)
-    for i in range(3):
-        arr[i, 0] = CountingComplex(x[i].real, x[i].imag, tally)
-    out = run_counting(sched, arr)
-    assert tally.as_opcount() == sched.static_count()
-    want = stages[1] @ (stages[0] @ x)
-    got = np.array([v.to_complex() for v in out[:, 0]])
-    assert np.allclose(got, want, atol=1e-14)
+    x = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    m = metered(x)
+    out = run_numpy(sched, m)
+    assert type(out) is Metered
+    assert m.op_count() == sched.static_count()
+    assert out.tobytes() == run_numpy(sched, x).tobytes()
+    assert np.allclose(out, stages[1] @ (stages[0] @ x), atol=1e-14)
 
 
 def test_scale_schedule_costs():
-    plain = scale_schedule([1.0, 0.9, 0.9])
-    assert plain.static_count() == OpCount(4, 0, 0)
-    csd = scale_schedule([1.0, 0.921875, 0.921875],
-                         {1: (0.921875, 3), 2: (0.921875, 3)})
-    assert csd.static_count() == OpCount(0, 8, 8)
-    x = np.array([[1.0], [2.0], [1.0 + 1.0j]])
-    out = run_numpy(csd, x)
-    assert np.allclose(out[:, 0], [1.0, 2 * 0.921875, (1 + 1j) * 0.921875])
+    # sqrt(6/7) has the 3-digit code 119/128 = 1 - 1/16 - 1/128
+    assert make_scale([1, 0.81, 0.81], "exact").op_count() == OpCount(4, 0, 0)
+    csd = make_scale([1, Fraction(6, 7), Fraction(6, 7)], "csd")
+    assert csd.values().tolist() == [1.0, 119 / 128, 119 / 128]
+    assert csd.op_count() == OpCount(0, 8, 8)
+    assert make_scale([1, 1], "csd").op_count() == OpCount()
+    # the meter charges the in-place scale by its values what the scale folds
+    for sc in (csd, make_scale([1, Fraction(6, 7), Fraction(6, 7)], "exact")):
+        m = metered(np.ones((3, 2)))
+        m *= sc.values()[:, None]
+        assert m.op_count() == 2 * sc.op_count()
 
 
 def test_zero_row_rejected():
@@ -113,14 +117,13 @@ def _per_op_oracle(sched, x):
             np.add(a.real * op.p - a.imag * op.q, 1j * (a.real * op.q + a.imag * op.p), out=out)
         else:
             c = {HALF: 0.5 * op.p, MULJ: 1j * op.p, JHALF: 0.5j * op.p, LC: complex(op.p, op.q),
-                 MULRE: op.p, MULIM: 1j * op.p, CSDMUL: op.p}[op.code]
+                 MULRE: op.p, MULIM: 1j * op.p}[op.code]
             np.multiply(a, c, out=out)
     return slots[sched.out_base: sched.out_base + sched.n_out].copy()
 
 
 SCHEDULES = {f"{n}-{kind}": (lambda n=n, kind=kind: leaf_schedule(Leaf(n, kind)))
              for n in (3, 11, 31) for kind in ("approx", "exact", "definition")}
-SCHEDULES["scale-csd-1023"] = lambda: assemble_scale(plan(1023, "csd")).schedule()
 
 
 def _awkward_block(rng, n, width):
@@ -187,3 +190,76 @@ def test_wave_compile_rejects_reads_before_writes():
     sched = Schedule((Op(ADD, 3, 0, 2),), 2, 1, 3, 4)
     with pytest.raises(ValueError, match="reads a slot"):
         sched.waves()
+
+
+# ---------------------------------------------------------------------------
+# the meter: one charge rule per one-op schedule
+
+@pytest.mark.parametrize("entry,charge", [
+    (1, (0, 0, 0)), (-1, (0, 0, 0)), (1j, (0, 0, 0)), (-1j, (0, 0, 0)),
+    (0.5, (0, 0, 2)), (-0.5, (0, 0, 2)), (0.5j, (0, 0, 2)), (-0.5j, (0, 0, 2)),
+    (1 - 1j, (0, 2, 0)), (-0.5 + 1j, (0, 2, 2)), (1 + 0.5j, (0, 2, 2)),
+    (-0.5 - 0.5j, (0, 2, 4)),
+    (0.3, (2, 0, 0)), (-0.3j, (2, 0, 0)), (0.75j, (2, 0, 0)),
+    (0.8 - 0.6j, (3, 3, 0)),
+], ids=["CP+1", "CP-1", "MULJ+j", "MULJ-j", "HALF+", "HALF-", "JHALF+", "JHALF-",
+        "LC-1-1", "LC-half-1", "LC-1-half", "LC-half-half", "MULRE", "MULIM", "MULIM-dyadic",
+        "MULCC"])
+def test_meter_charges_each_opcode_as_its_static_cost(entry, charge):
+    sched = compile_stages([np.array([[entry]])], 1)
+    assert len(sched.ops) == 1
+    m = metered(np.array([[1.5 - 2.0j, 0.25j, -3.0]]))
+    out = run_numpy(sched, m)
+    assert m.op_count() == 3 * OpCount(*charge) == 3 * sched.static_count()
+    assert out.tobytes() == run_numpy(sched, np.asarray(m)).tobytes()
+
+
+@pytest.mark.parametrize("row,code", [([1, 1], ADD), ([1, -1], SUB)], ids=["ADD", "SUB"])
+def test_meter_charges_complex_add_and_subtract(row, code):
+    sched = compile_stages([np.array([row])], 2)
+    assert [op.code for op in sched.ops] == [CP, code]
+    m = metered(np.ones((2, 5)))
+    run_numpy(sched, m)
+    assert m.op_count() == OpCount(0, 10, 0)
+
+
+@pytest.mark.parametrize("c,digits", [(0.921875, 3), (0.75, 2), (-0.75, 2), (1.5, 2), (0.25, 1)])
+def test_meter_charges_csd_constants_by_their_digits(c, digits):
+    # 0.921875 = 118/128 = 1 - 1/16 - 1/64; the opcode table prices a real
+    # constant as 2 mults, the meter prices a dyadic one as its CSD expansion
+    sched = compile_stages([np.array([[c]])], 1)
+    assert sched.static_count() == OpCount(2, 0, 0)
+    m = metered(np.ones((1, 4)))
+    run_numpy(sched, m)
+    k = digits - 1
+    assert m.op_count() == 4 * OpCount(0, 2 * k, 2 * k)
+
+
+def test_naf_weight_is_the_csd_digit_count():
+    for m, k, code in _all_codes(8, 7):
+        assert _naf_weight(abs(m)) == k == code.nonzero_count
+
+
+def test_meter_leaves_other_ufuncs_free():
+    m = metered(np.arange(6.0).reshape(3, 2) - 2j)
+    assert np.all(np.isfinite(m))
+    np.negative(m, out=m)
+    assert type(m[::2].take([0, 1], axis=0) * 0.3) is Metered
+    assert m.op_count() == OpCount(2 * 4, 0, 0)  # only the product of 4 elements by 0.3
+    with pytest.raises(TypeError, match="one constant operand"):
+        m * m
+
+
+@pytest.mark.parametrize("name", ["31-approx", "11-exact", "3-definition"])
+def test_meter_counts_the_tiled_form(name, monkeypatch):
+    sched = SCHEDULES[name]()
+    width = WAVE_COLUMNS + 3
+    calls = []
+    real = schedule._run_tiles
+    monkeypatch.setattr(schedule, "_run_tiles", lambda *a: (calls.append(1), real(*a))[1])
+    x = _awkward_block(np.random.default_rng(7), sched.n_in, width)
+    m = metered(x)
+    out = run_numpy(sched, m)
+    assert calls == [1] and type(out) is Metered
+    assert m.op_count() == width * sched.static_count()
+    assert out.tobytes() == run_numpy(sched, x).tobytes()
