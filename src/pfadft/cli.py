@@ -76,8 +76,8 @@ def _emit_table(header, rows, fmt, out):
 
 def _cmd_transform(args):
     from .pfa import execute, plan
-    x, in_fmt = _read_signal(args.input, args.input_format)
     p = plan(args.n, args.variant)
+    x, in_fmt = _read_signal(args.input, args.input_format)
     X = execute(p, x)
     _write_signal(args.output, X, args.output_format or in_fmt)
     return 0

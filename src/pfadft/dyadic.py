@@ -54,8 +54,12 @@ class CsdCode:
 
 
 def csd_eval(code: CsdCode) -> Fraction:
-    """Exact rational value of a CSD code."""
-    return sum((Fraction(d, 2 ** i) for i, d in enumerate(code.digits)), Fraction(0))
+    """Exact rational value of a CSD code: its digits read as one integer
+    (Horner's rule) over 2 to the number of fractional digits."""
+    m = 0
+    for d in code.digits:
+        m = 2 * m + d
+    return Fraction(m, 2 ** (len(code.digits) - 1))
 
 
 @lru_cache(maxsize=None)

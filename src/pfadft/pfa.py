@@ -9,11 +9,25 @@ approximate plan therefore runs on additions and bit-shifts alone.
 The nested CRT maps of any tree collapse into one map over the leaf
 lengths n_1, ..., n_L (Burrus & Eschenbacher, IEEE TASSP 1981): input m
 goes to grid cell (m mod n_l)_l, and cell (i_l) goes to output
-sum_l i_l * (n / n_l) mod n. A plan runs as one pass over that grid: one
-gather, each leaf's schedule along its own axis, one scatter. The leaf
-calls always run right to left over the leaf sequence. The same pass
-counts operations: ``instrumented_count`` runs ``execute`` on a metered
-array, with no second executor.
+sum_l i_l * (n / n_l) mod n. A plan runs as one pass over that grid, an
+in-order prime-factor pass (Temperton, JCP 1985) in a rotating layout:
+
+  * the input is gathered once into the grid with the leaf axes in
+    reverse order and the batch innermost;
+  * each leaf level, the last leaf first, reads its input as the leading
+    axis of a contiguous (n_l, n / n_l, batch) block, and writes each tile
+    of its output rotated, that axis moved behind the others, into the
+    block that is the next level's contiguous input;
+  * the first leaf's level, which runs last, multiplies each output tile
+    by the scale, taken in its grid order, and scatters it straight to
+    the output positions.
+
+So each grid value is written by the gather, by the leaf arithmetic and by
+one rotated or scattered write per level, with no transposed copy and no
+separate scale pass. The leaf calls always run right to left over the leaf
+sequence, so every element goes through the same IEEE operations in any
+layout. The same pass counts operations: ``instrumented_count`` runs
+``execute`` on a metered array, with no second executor.
 
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
@@ -154,12 +168,16 @@ def leaf_schedule(leaf: Leaf):
 
 
 def _prime_power_factors(n: int):
-    if n == 1:
-        return [1]
+    """Prime-power factors of n, largest first.
+
+    No leaf may exceed ``MAX_DEFINITION_LENGTH``, so trial division stops
+    there: a cofactor left above it cannot be split into short enough
+    coprime leaves, and n is rejected at once, however large it is.
+    """
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p <= MAX_DEFINITION_LENGTH and p * p <= m:
         if m % p == 0:
             q = 1
             while m % p == 0:
@@ -167,7 +185,10 @@ def _prime_power_factors(n: int):
                 q *= p
             out.append(q)
         p += 1
-    if m > 1:
+    if m > MAX_DEFINITION_LENGTH:
+        raise ValueError(f"n={n} has a prime-power factor above {MAX_DEFINITION_LENGTH}; "
+                         f"leaves are limited to {MAX_DEFINITION_LENGTH} points")
+    if m > 1 or not out:
         out.append(m)
     return sorted(out, reverse=True)
 
@@ -241,18 +262,46 @@ def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_tree(tree, arr):
-    """Apply the tree transform to an (n, batch) block in one pass over the
-    CRT grid; a metered block stays metered throughout."""
+@lru_cache(maxsize=None)
+def _output_map(tree, mode: str):
+    """Output positions and scale values of the last leaf level's grid.
+
+    That grid holds the first leaf's axis, then the others in reverse
+    order (see ``_run_tree``); both arrays are (n_1, n / n_1[, 1]), and the
+    scale is None in mode "none".
+    """
+    lengths = [leaf.n for leaf in tree_leaves(tree)]
+    inverse = build_index_maps(lengths[0], *lengths[:0:-1]).inverse
+    positions, scale = inverse.reshape(lengths[0], -1), None
+    if mode != "none":
+        scale = _assembled_scale(tree, mode).values()[inverse].reshape(lengths[0], -1, 1)
+        scale.flags.writeable = False
+    return positions, scale
+
+
+def _run_tree(tree, mode: str, arr):
+    """Apply the tree transform, scaled in ``mode``, to an (n, B) block in
+    one pass of the rotating layout (see the module docstring). A level of
+    an m-point leaf reads an (m, R, B) block and writes an (R, m, B) one; a
+    metered block stays metered throughout."""
     leaves = tree_leaves(tree)
-    imap = build_index_maps(*(leaf.n for leaf in leaves))
-    y = arr[imap.forward].reshape(*imap.lengths, arr.shape[1])
-    for axis in reversed(range(len(leaves))):
-        fibres = y.swapaxes(0, axis)
-        out = run_numpy(leaf_schedule(leaves[axis]), fibres.reshape(leaves[axis].n, -1))
-        y = out.reshape(fibres.shape).swapaxes(0, axis)
+    n, B = arr.shape
+    y = arr[build_index_maps(*(leaf.n for leaf in reversed(leaves))).forward]
+    for leaf in reversed(leaves[1:]):
+        dest = np.empty_like(arr, shape=(n // leaf.n, leaf.n, B))
+
+        def rotate(r, b, rows, dest=dest):
+            dest[r, :, b] = rows.transpose(1, 0, 2)
+        run_numpy(leaf_schedule(leaf), y.reshape(leaf.n, -1, B), rotate)
+        y = dest
     out = np.empty_like(arr)
-    out[imap.inverse] = y.reshape(arr.shape)
+    positions, scale = _output_map(tree, mode)
+
+    def scatter(r, b, rows):
+        if scale is not None:
+            np.multiply(rows, scale[:, r], out=rows)
+        out[positions[:, r], b] = rows
+    run_numpy(leaf_schedule(leaves[0]), y.reshape(leaves[0].n, -1, B), scatter)
     return out
 
 
@@ -271,9 +320,7 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    y = _run_tree(plan_.tree, x)
-    if plan_.scale_mode != "none":
-        y *= assemble_scale(plan_).values()[:, None]  # y is the pass's own fresh array
+    y = _run_tree(plan_.tree, plan_.scale_mode, x)
     return y[:, 0] if single else y
 
 

@@ -9,24 +9,27 @@ numpy call from the ufunc and the values of its constant operand, never
 from the opcode table, so it is an independent check on the static count
 that measures the code which actually runs.
 
+The compiler propagates copies and negations into their consumers instead
+of running them (see ``compile_stages``), as FFTW's codelet generator does
+(Frigo, PLDI 1999): the approximate 31-, 11- and 3-point kernels hold 721,
+101 and 9 ops, not 798, 128 and 16. Only free ops go, so no count moves.
+
 The numpy executor runs a list in one of two forms, chosen by the width of
 the block. A narrow block runs as compiled waves: every write gets a fresh
 row, each op sits one level above its operands, and the ops of one level
-and opcode run as one numpy call, which cuts the 798 ops of the 31-point
-approximate kernel to 42 calls (straight-line scheduling as in FFTW's
-codelet generator, Frigo, PLDI 1999). A wide block runs the list op by op
-over ``TILE`` (4096) column tiles of one reused slot array, which keeps the
-rows each op touches in cache. Waves hold one row per op, so they lose once
-those rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 20), waves
-against tiles take 0.24 against 1.24 ms for the 31-point approximate kernel
-at 33 columns, 1.8 against 2.6 ms at 512 and 5.7 against 3.3 ms at 1024;
-the 11-point kernel ties at 1024 columns (0.49 against 0.51 ms) and loses
-at 1536 (0.77 against 0.58 ms). So blocks of at most ``WAVE_COLUMNS``
-(1024) columns run as waves, unless the wave rows would outgrow one tile's
-slot array; that bound moves the 31-point kernels' switch to 479-617
-columns and keeps memory bounded for long by-definition leaves. Every
-element goes through the same IEEE operations in both forms, so their
-outputs are bit-identical.
+and opcode run as one numpy call, which runs the 721 ops of the 31-point
+approximate kernel as 36 calls. A wide block runs the list op by op over
+``TILE`` (4096) column tiles of one reused slot array, which keeps the rows
+each op touches in cache; the ops read the input rows in place. Waves hold
+one row per op, so they lose once those rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15),
+waves against tiles take 0.27 against 1.33 ms for the 31-point approximate
+kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
+at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
+and 0.30 against 0.29 ms), and the 3-point kernel ties throughout. So
+blocks of at most ``WAVE_COLUMNS`` (512) columns run as waves, unless the
+wave rows would outgrow one tile's slot array; that bound keeps memory
+bounded for long by-definition leaves. Every element goes through the same
+IEEE operations in both forms, so their outputs are bit-identical.
 
 Cost conventions (used repo-wide):
   * multiplications by 0 or +-1 or +-j are free,
@@ -51,13 +54,15 @@ import numpy as np
 CP = 0      # dst = +-src                      (free)
 ADD = 1     # dst = src1 + src2                (2 adds)
 SUB = 2     # dst = src1 - src2                (2 adds)
-HALF = 3    # dst = sign * src / 2             (2 shifts)
+HALF = 3    # dst = (p + j q) / 2 * src, p = +-1 (2 shifts)
 MULJ = 4    # dst = sign * j * src             (free)
 JHALF = 5   # dst = sign * j * src / 2         (2 shifts)
 LC = 6      # dst = (p + j q) * src, p,q in {+-1/2, +-1}, both nonzero
-MULRE = 7   # dst = c * src, general real c    (2 mults)
+MULRE = 7   # dst = (p + j q) * src, general p (2 mults)
 MULIM = 8   # dst = j c * src, general real c  (2 mults)
 MULCC = 9   # dst = (a + j b) * src, general   (3 mults + 3 adds)
+# HALF and MULRE keep q = +-0: a folded negation flips it with p, so the
+# constant is the exact negation, zero sign included
 
 
 @dataclass(frozen=True)
@@ -145,13 +150,27 @@ def compile_stages(stages, n: int) -> Schedule:
     ``stages`` are given in application order: the first matrix multiplies
     the input vector. Entries must be exactly classifiable (snap
     almost-dyadic constants before calling).
+
+    Row r of a stage sums its terms left to right into a fresh slot; a
+    later term that is not +-1 goes through one shared scratch slot. A row
+    that starts with a +-1 term becomes an alias (slot, sign) of its source,
+    not a copy, and its consumers read the source with the sign folded in:
+    -a + b becomes b - a, a + -b becomes a - b, a - -b becomes a + b, and a
+    constant product of -a negates both parts of its constant. IEEE
+    subtraction adds the negation, addition commutes and a product's sign
+    is the XOR of its factors', so every bit stays, zero signs included.
+    An alias is made real (a CP op) only for -a - b, which no single op
+    folds, and as an output of the last stage. Its source is never
+    overwritten: each stage writes fresh slots, and no alias points at the
+    scratch slot.
     """
     ops = []
+    alias = {}           # slot -> (source slot, sign) of a copy not made real
     base = 0
     width = n
     scratch = n          # one shared temporary right after the input block
     n_slots = n + 1
-    for M in stages:
+    for s, M in enumerate(stages):
         M = np.asarray(M)
         rows, cols = M.shape
         if cols != width:
@@ -167,17 +186,31 @@ def compile_stages(stages, n: int) -> Schedule:
             if not terms:
                 raise ValueError("schedule compiler does not support all-zero rows")
             dst = out_base + r
-            first = True
-            for j, (code, p, q) in terms:
-                src = base + j
-                if first:
-                    ops.append(Op(code, dst, src, -1, p, q))
-                    first = False
-                elif code == CP:
-                    ops.append(Op(ADD if p > 0 else SUB, dst, dst, src))
+            for k, (j, (code, p, q)) in enumerate(terms):
+                src, sign = alias.get(base + j, (base + j, 1.0))
+                if code == CP:
+                    sign *= p
                 else:
-                    ops.append(Op(code, scratch, src, -1, p, q))
-                    ops.append(Op(ADD, dst, dst, scratch))
+                    if sign < 0:  # a product of -a takes the negated constant
+                        p, q = -p, -q
+                    term = dst if k == 0 else scratch
+                    ops.append(Op(code, term, src, -1, p, q))
+                    src, sign = term, 1.0
+                if k == 0:
+                    if code == CP:
+                        alias[dst] = (src, sign)
+                    continue
+                acc, acc_sign = alias.pop(dst, (dst, 1.0))
+                if acc_sign < 0 and sign < 0:  # -a - b: make -a real
+                    ops.append(Op(CP, dst, acc, -1, -1.0))
+                    acc, acc_sign = dst, 1.0
+                if acc_sign > 0:
+                    ops.append(Op(ADD if sign > 0 else SUB, dst, acc, src))
+                else:
+                    ops.append(Op(SUB, dst, src, acc))
+            if s == len(stages) - 1 and dst in alias:
+                src, sign = alias.pop(dst)
+                ops.append(Op(CP, dst, src, -1, sign))
         base = out_base
         width = rows
     return Schedule(tuple(ops), n, width, base, n_slots)
@@ -325,18 +358,18 @@ _OPCODES = {
     ADD: _OpKind(lambda op: _ADDS, lambda op: None, lambda out, a, b, c: np.add(a, b, out=out)),
     SUB: _OpKind(lambda op: _ADDS, lambda op: None,
                  lambda out, a, b, c: np.subtract(a, b, out=out)),
-    HALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5 * op.p, _np_mul),
+    HALF: _OpKind(lambda op: _SHIFTS, lambda op: complex(0.5 * op.p, 0.5 * op.q), _np_mul),
     MULJ: _OpKind(lambda op: _FREE, lambda op: 1j * op.p, _np_mul),
     JHALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5j * op.p, _np_mul),
     LC: _OpKind(_lc_cost, lambda op: complex(op.p, op.q), _np_mul),
-    MULRE: _OpKind(lambda op: _MULTS, lambda op: op.p, _np_mul),
+    MULRE: _OpKind(lambda op: _MULTS, lambda op: complex(op.p, op.q), _np_mul),
     MULIM: _OpKind(lambda op: _MULTS, lambda op: 1j * op.p, _np_mul),
     MULCC: _OpKind(lambda op: OpCount(3, 3, 0), lambda op: (op.p, op.q), _np_mulcc),
 }
 
 
 #: widest block that runs as compiled waves; see the module docstring
-WAVE_COLUMNS = 1024
+WAVE_COLUMNS = 512
 #: columns per tile when a wider block runs op by op
 TILE = 4096
 
@@ -422,31 +455,62 @@ def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
     return S.take(cw.out, axis=0)
 
 
-def _run_tiles(sched: Schedule, x: np.ndarray) -> np.ndarray:
-    width = x.shape[1]
-    out = np.empty_like(x, shape=(sched.n_out, width))
-    tile = np.zeros_like(x, shape=(sched.n_slots, min(width, TILE)))
-    for c in range(0, width, TILE):
-        s = tile[:, : min(TILE, width - c)]
-        s[: sched.n_in] = x[:, c: c + TILE]
-        for op in sched.ops:
-            kind = _OPCODES[op.code]
-            kind.numpy(s[op.dst], s[op.src1], None if op.src2 < 0 else s[op.src2], kind.const(op))
-        out[:, c: c + TILE] = s[sched.out_base: sched.out_base + sched.n_out]
-    return out
+def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
+    """Run an (n_in, rows, B) block op by op over tiles of at most ``TILE``
+    columns: whole batch rows, or a part of one row when B exceeds ``TILE``.
+
+    Ops read the input rows in place and write only the other slots, each
+    written before it is read, so the slot array needs no input rows and no
+    initial value.
+    """
+    n_in, rows, B = x.shape
+    written, steps = set(range(n_in)), []
+    for i, op in enumerate(sched.ops):
+        if op.dst < n_in or not {op.src1, op.src2} - {-1} <= written:
+            raise ValueError(f"op {i} overwrites an input or reads an unwritten slot")
+        written.add(op.dst)
+        kind = _OPCODES[op.code]
+        steps.append((kind.numpy, op.dst, op.src1, op.src2, kind.const(op)))
+    k, w = max(1, TILE // B), min(B, TILE)  # batch rows and columns per tile
+    tile = np.empty_like(x, shape=(sched.n_slots - n_in, min(k, rows), w))
+    for r0 in range(0, rows, k):
+        for b0 in range(0, B, w):
+            r, b = slice(r0, min(r0 + k, rows)), slice(b0, min(b0 + w, B))
+            s = tile[:, : r.stop - r0, : b.stop - b0]
+            v = [*x[:, r, b], *s, None]  # slot -> its rows; slot -1 (no operand) -> None
+            for fn, dst, a, c, const in steps:
+                fn(v[dst], v[a], v[c], const)
+            write(r, b, s[sched.out_base - n_in: sched.out_base - n_in + sched.n_out])
 
 
-def run_numpy(sched: Schedule, x: np.ndarray) -> np.ndarray:
-    """Vectorized executor over a (n_in, batch) complex block.
+def run_numpy(sched: Schedule, x: np.ndarray, write=None):
+    """Vectorized executor over an (n_in, batch) or (n_in, rows, B) block.
 
     Blocks of at most ``WAVE_COLUMNS`` columns run as the schedule's
     compiled waves, unless the wave slot array would outgrow one tile of
     the op-by-op form; other blocks run op by op over ``TILE``-column tiles.
     A ``Metered`` block stays metered through either form.
+
+    Without ``write`` the outputs come back as a fresh (n_out, ...) array.
+    With it, None is returned and each tile's outputs go to
+    ``write(r, b, y)``: y is an (n_out, len(r), len(b)) array for the batch
+    rows ``r`` and batch columns ``b`` (slices) that the tile covers, which
+    the callee may overwrite. The wave form passes the whole block as one
+    tile.
     """
     x = np.asanyarray(x, dtype=np.complex128, order="C")
-    width = x.shape[1]
-    if width <= WAVE_COLUMNS and (sched.n_in + len(sched.ops)) * width <= sched.n_slots * TILE:
-        return _run_waves(sched.waves(), x)
-    return _run_tiles(sched, x)
+    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    n_in, rows, B = x3.shape
+    out = None
+    if write is None:
+        out = np.empty_like(x, shape=(sched.n_out,) + x.shape[1:])
+        o3 = out.reshape(sched.n_out, rows, B)
 
+        def write(r, b, y):
+            o3[:, r, b] = y
+    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= sched.n_slots * TILE:
+        y = _run_waves(sched.waves(), x3.reshape(n_in, -1))
+        write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
+    else:
+        _run_tiles(sched, x3, write)
+    return out

@@ -16,16 +16,27 @@ def random_complex(rng, n, count=1):
     return z[:, 0] if count == 1 else z
 
 
+def zero_sign_blocks(rng, n, width):
+    """Real, imaginary, impulse and random +-0 blocks with exact zero signs."""
+    def parts(re, im):
+        return np.stack(np.broadcast_arrays(re, im), axis=-1).view(np.complex128)[..., 0]
+    re, im = rng.standard_normal((2, n, width))
+    impulse = np.zeros((n, width))
+    impulse[np.arange(width) % n, np.arange(width)] = -1.0
+    return {"real": parts(re, 0.0), "imag": parts(-0.0, im), "impulse": parts(impulse, 0.0),
+            "zeros": parts(*np.copysign(0.0, rng.standard_normal((2, n, width))))}
+
+
 # Leaf lengths for random plans; approximate kernels exist only for 3, 11, 31.
 TREE_LENGTHS = (2, 3, 4, 5, 7, 11, 31)
 
 
 @st.composite
-def coprime_plans(draw):
+def coprime_plans(draw, max_n=1023):
     """JSON plans over random coprime factor trees, leaf kinds and scales."""
     factors = []
     for f in draw(st.permutations(TREE_LENGTHS))[: draw(st.integers(1, 4))]:
-        if math.gcd(f, math.prod(factors)) == 1 and math.prod(factors) * f <= 1023:
+        if math.gcd(f, math.prod(factors)) == 1 and math.prod(factors) * f <= max_n:
             factors.append(f)
 
     def shape(fs):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfadft.design import quantize_half
-from pfadft.dyadic import CsdCode, csd_encode, csd_eval
+from pfadft.dyadic import CsdCode, _all_codes, csd_encode, csd_eval
 
 
 class TestRoundToHalf:
@@ -71,6 +71,13 @@ class TestCsd:
         assert csd_eval(CsdCode((1, 0, 0, -1, 0, 0, -1, 0))) == Fraction(55, 64)
         assert csd_eval(CsdCode((1, 0, -1, 0, 0, 0, 1, 0))) == Fraction(49, 64)
         assert csd_eval(CsdCode((1, 0, 0, 0, 0, 0, 0, 0))) == 1
+
+    @pytest.mark.parametrize("max_nonzero,frac_bits", [(8, 7), (3, 4), (1, 0)])
+    def test_eval_equals_the_digit_sum(self, max_nonzero, frac_bits):
+        for m, _, code in _all_codes(max_nonzero, frac_bits):
+            value = csd_eval(code)
+            assert value == sum(Fraction(d, 2 ** i) for i, d in enumerate(code.digits))
+            assert value * 128 == m
 
     def test_adjacent_nonzeros_rejected(self):
         with pytest.raises(ValueError):

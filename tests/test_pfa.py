@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,16 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import coprime_plans, random_complex
+from conftest import coprime_plans, random_complex, zero_sign_blocks
 from pfadft.complexity import count_plan
 from pfadft.exactdft import dft_direct, dft_matrix
 from pfadft import pfa
 from pfadft.cli import cli_main
 from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
                         build_index_maps, dense_matrix, execute,
-                        instrumented_count, plan, plan_from_json, plan_to_json,
-                        tree_leaves, unscaled)
-from pfadft.schedule import WAVE_COLUMNS
+                        instrumented_count, leaf_schedule, plan, plan_from_json,
+                        plan_to_json, tree_leaves, unscaled)
+from pfadft.schedule import TILE, WAVE_COLUMNS, Metered, metered
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
 
@@ -297,6 +299,40 @@ class TestSizeBound:
     def test_512_points_still_plan(self):
         assert plan(512, "exact-definition").tree == Leaf(512, "definition")
 
+    @staticmethod
+    def _best_seconds(fn):
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    @pytest.mark.parametrize("n", [10 ** 12 + 39, 10 ** 14 + 31])
+    @pytest.mark.parametrize("variant", ["exact", "csd"])
+    def test_large_prime_rejected_quickly(self, n, variant):
+        # trial division stops at 512 points instead of sqrt(n)
+        def attempt():
+            with pytest.raises(ValueError, match="limited to 512 points"):
+                plan(n, variant)
+        assert self._best_seconds(attempt) < 0.01
+
+    @pytest.mark.parametrize("n", [10 ** 12 + 39, 10 ** 14 + 31])
+    def test_cli_rejects_large_prime_quickly(self, n, tmp_path):
+        src = tmp_path / "x.csv"
+        src.write_text("1.0,0.0\n" * 4)
+        argv = ["transform", "--n", str(n), "--variant", "exact",
+                "--input", str(src), "--output", str(tmp_path / "X.csv")]
+        assert self._best_seconds(lambda: cli_main(argv)) < 0.01
+        assert cli_main(argv) == 1
+        assert not (tmp_path / "X.csv").exists()
+
+    def test_large_composite_with_small_factors_plans(self):
+        assert [leaf.n for leaf in tree_leaves(plan(2 ** 9 * 3 ** 5 * 5, "exact").tree)] == \
+            [512, 243, 5]
+        with pytest.raises(ValueError, match="limited to 512 points"):
+            plan(3 * 521, "exact")
+
 
 class TestAssembledScale:
     def test_1023_piecewise_formula(self):
@@ -478,6 +514,53 @@ def test_random_trees_match_dense_in_tiles(text, seed):
     x = random_complex(np.random.default_rng(seed), p.n, batch).reshape(p.n, batch)
     assert p.n // shortest * batch > WAVE_COLUMNS
     assert np.abs(execute(p, x) - dense_matrix(p) @ x).max() <= 1e-9 * p.n
+
+
+@settings(deadline=None, max_examples=6)
+@given(st.data())
+@pytest.mark.parametrize("width", [3, 1023, TILE + 1, 5000])
+def test_random_trees_match_one_column_runs(width, data):
+    # wide batches put tile boundaries inside batch rows, and past TILE
+    # columns a batch row itself is split
+    p = plan_from_json(data.draw(coprime_plans(max_n=1023 if width < TILE else 341)))
+    rng = np.random.default_rng(width)
+    x = random_complex(rng, p.n, width)
+    for i, z in enumerate(zero_sign_blocks(rng, p.n, width).values(), 1):
+        x[:, i::5] = z[:, i::5]
+    got = execute(p, x)
+    cols = {0, 1, width // 2, width - 1} | {c for c in (TILE - 1, TILE) if c < width}
+    for c in sorted(cols):
+        assert got[:, c].tobytes() == execute(p, x[:, c]).tobytes(), c
+
+
+@pytest.mark.parametrize("n,variant,width", [
+    (1023, "csd", 1), (1023, "csd", 40), (1023, "scaled", 3), (93, "csd", TILE + 4),
+    (33, "exact-definition", 700),
+])
+def test_metered_block_through_rotation_and_fused_scale(n, variant, width):
+    p = plan(n, variant)
+    x = random_complex(np.random.default_rng(width), n, width).reshape(n, width)
+    m = metered(x)
+    out = execute(p, m)
+    assert type(out) is Metered
+    assert m.op_count() == width * count_plan(p)
+    assert out.tobytes() == execute(p, x).tobytes()
+
+
+def test_pass_holds_two_grids_and_one_tile():
+    # a level holds its input block, its output block and one tile slot
+    # array: no transposed copy and no full-size scale temporary
+    p = plan(1023, "csd")
+    x = np.ones((1023, 256), dtype=np.complex128)
+    execute(p, x)
+    tracemalloc.start()
+    try:
+        execute(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = max((leaf_schedule(leaf).n_slots - leaf.n) * TILE * 16 for leaf in tree_leaves(p.tree))
+    assert peak <= 2 * x.nbytes + tile + x.nbytes // 4
 
 
 def _ordered_trees(leaves):

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import zero_sign_blocks
 from pfadft import schedule
 from pfadft.design import make_scale
 from pfadft.dyadic import _all_codes
+from pfadft.exactdft import a_stage_matrix, derive_core, dft_matrix
+from pfadft.kernels import factorization
 from pfadft.pfa import Leaf, leaf_schedule
 from pfadft.schedule import (ADD, CP, HALF, JHALF, LC, MULCC, MULIM, MULJ, MULRE,
                              SUB, TILE, WAVE_COLUMNS, Metered, Op, OpCount, Schedule,
-                             _naf_weight, compile_stages, metered, run_numpy)
+                             _classify, _naf_weight, _np_mulcc, compile_stages, metered,
+                             run_numpy)
 
 
 def _random_stages(rng):
@@ -116,8 +121,9 @@ def _per_op_oracle(sched, x):
         elif op.code == MULCC:
             np.add(a.real * op.p - a.imag * op.q, 1j * (a.real * op.q + a.imag * op.p), out=out)
         else:
-            c = {HALF: 0.5 * op.p, MULJ: 1j * op.p, JHALF: 0.5j * op.p, LC: complex(op.p, op.q),
-                 MULRE: op.p, MULIM: 1j * op.p}[op.code]
+            # a folded negation gives a real constant a -0 imaginary part in q
+            c = {HALF: complex(0.5 * op.p, 0.5 * op.q), MULJ: 1j * op.p, JHALF: 0.5j * op.p,
+                 LC: complex(op.p, op.q), MULRE: complex(op.p, op.q), MULIM: 1j * op.p}[op.code]
             np.multiply(a, c, out=out)
     return slots[sched.out_base: sched.out_base + sched.n_out].copy()
 
@@ -148,6 +154,155 @@ def test_executor_is_bit_identical_to_per_op_loop(name, width):
     real = np.ascontiguousarray(x.real)
     want = _per_op_oracle(sched, real.astype(np.complex128))
     assert run_numpy(sched, real).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# copy propagation: the forms against the stage sums, zero signs included
+
+def _stages(name):
+    """The stage matrices a named leaf schedule is compiled from."""
+    n, kind = name.split("-")
+    n = int(n)
+    if kind == "definition":
+        return [dft_matrix(n)]
+    A = a_stage_matrix(n)
+    return [A, factorization(n).core if kind == "approx" else derive_core(dft_matrix(n)), A.T]
+
+
+def _stage_sums(stages, x):
+    """Each stage row summed left to right, one numpy call per term: +-1
+    terms as copies, negations, adds and subtracts, other terms as products
+    with the constants of the entry classes. These are the operations a
+    schedule ran before copies were propagated, so a propagated schedule
+    must match them bit for bit."""
+    const = {HALF: lambda p, q: 0.5 * p, MULJ: lambda p, q: 1j * p,
+             JHALF: lambda p, q: 0.5j * p, LC: complex, MULRE: lambda p, q: p,
+             MULIM: lambda p, q: 1j * p}
+    for M in stages:
+        rows = []
+        for r in range(M.shape[0]):
+            acc = None
+            for j in np.flatnonzero(M[r]):
+                code, p, q = _classify(M[r, j])
+                if code == CP:
+                    if acc is None:
+                        acc = x[j].copy() if p > 0 else np.negative(x[j])
+                    else:
+                        acc = acc + x[j] if p > 0 else acc - x[j]
+                    continue
+                t = np.empty_like(x[j])
+                if code == MULCC:
+                    _np_mulcc(t, x[j], None, (p, q))
+                else:
+                    np.multiply(x[j], const[code](p, q), out=t)
+                acc = t if acc is None else acc + t
+            rows.append(acc)
+        x = np.array(rows)
+    return x
+
+
+def _tiled(sched, x3):
+    """The op-by-op tile form's output for an (n_in, rows, B) block."""
+    out = np.empty((sched.n_out,) + x3.shape[1:], dtype=np.complex128)
+
+    def write(r, b, y):
+        out[:, r, b] = y
+    schedule._run_tiles(sched, x3, write)
+    return out.reshape(sched.n_out, -1)
+
+
+@pytest.mark.parametrize("rows,B,tiles", [
+    (3, 1500, [(0, 2, 0, 1500), (2, 3, 0, 1500)]),
+    (2, TILE + 5, [(0, 1, 0, TILE), (0, 1, TILE, TILE + 5), (1, 2, 0, TILE),
+                   (1, 2, TILE, TILE + 5)]),
+], ids=["whole-rows", "split-rows"])
+def test_tiles_take_whole_batch_rows_or_split_long_ones(rows, B, tiles):
+    sched = SCHEDULES["3-approx"]()
+    x = _awkward_block(np.random.default_rng(B), 3, rows * B).reshape(3, rows, B)
+    seen = []
+
+    def write(r, b, y):
+        assert y.shape == (sched.n_out, r.stop - r.start, b.stop - b.start)
+        seen.append((r.start, r.stop, b.start, b.stop))
+    schedule._run_tiles(sched, x, write)
+    assert seen == tiles
+    assert _tiled(sched, x).tobytes() == _per_op_oracle(sched, x.reshape(3, -1)).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_forms_match_stage_sums_on_zero_signs(name):
+    sched = SCHEDULES[name]()
+    for kind, x in zero_sign_blocks(np.random.default_rng(3), sched.n_in, 24).items():
+        want = _stage_sums(_stages(name), x).tobytes()
+        assert schedule._run_waves(sched.waves(), x).tobytes() == want, kind
+        assert _tiled(sched, x.reshape(sched.n_in, 4, 6)).tobytes() == want, kind
+        assert _per_op_oracle(sched, x).tobytes() == want, kind
+
+
+#: (ops, waves) of each leaf schedule after copy propagation; before it the
+#: approximate kernels held 798, 128 and 16 ops in 42, 20 and 12 waves
+PROPAGATED = {
+    "3-approx": (9, 9), "11-approx": (101, 15), "31-approx": (721, 36),
+    "3-exact": (9, 9), "11-exact": (121, 13), "31-exact": (961, 23),
+    "3-definition": (10, 4), "11-definition": (210, 12), "31-definition": (1830, 32),
+}
+
+STATIC = {
+    "3-approx": (0, 12, 2), "11-approx": (0, 130, 40), "31-approx": (0, 900, 300),
+    "3-exact": (2, 12, 2), "11-exact": (100, 140, 0), "31-exact": (900, 1020, 0),
+    "3-definition": (12, 24, 0), "11-definition": (300, 520, 0),
+    "31-definition": (2700, 4560, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_propagated_op_and_wave_counts(name):
+    sched = SCHEDULES[name]()
+    assert (len(sched.ops), len(sched.waves().waves)) == PROPAGATED[name]
+    assert sched.static_count().as_tuple() == STATIC[name]
+    m = metered(np.ones((sched.n_in, 1)))
+    run_numpy(sched, m)
+    assert m.op_count() == sched.static_count()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_only_materialized_copies_remain(name):
+    sched = SCHEDULES[name]()
+    outputs = range(sched.out_base, sched.out_base + sched.n_out)
+    for op, after in zip(sched.ops, sched.ops[1:] + (None,)):
+        if op.code == CP:
+            # an output, or the -a of -a - b, which the next op subtracts from
+            assert op.dst in outputs or (
+                op.p < 0 and (after.code, after.dst, after.src1) == (SUB, op.dst, op.dst))
+
+
+def test_negations_fold_into_their_consumers():
+    # stage 1 negates x0 and x1 and copies x2; stage 2 consumes the aliases
+    s1 = np.diag([-1, -1, 1])
+    s2 = np.array([
+        [0.5, 0, 0], [0, 0.3, 0], [1j, 0, 0], [0, -0.5 + 1j, 0], [0.8 - 0.6j, 0, 0],
+        [0, -0.5j, 0], [0, 0.7j, 0],
+        [1, 1, 0],      # -x0 + -x1: -x0 made real, then a subtract
+        [1, -1, 0],     # -x0 - -x1 = x1 - x0
+        [-1, 0, 1],     # x0 + x2
+        [0, 1, 1],      # -x1 + x2 = x2 - x1
+        [0, 0, -1],     # an output alias -x2, made real
+        [0.5, 1, 0], [0, 1, 0.5],
+    ])
+    sched = compile_stages([s1, s2], 3)
+    assert [op.code for op in sched.ops] == [
+        HALF, MULRE, MULJ, LC, MULCC, JHALF, MULIM, CP, SUB, SUB, ADD, SUB, CP,
+        HALF, SUB, HALF, SUB]
+    # a constant product of a negation flips both parts of its constant
+    assert [(op.p, math.copysign(1, op.q)) for op in sched.ops[:2]] == [(-1.0, -1), (-0.3, -1)]
+    assert (sched.ops[4].p, sched.ops[4].q) == (-0.8, 0.6)
+    assert sched.static_count() == OpCount(7, 17, 10)
+    for kind, x in zero_sign_blocks(np.random.default_rng(5), 3, 40).items():
+        x[:, ::3] = _awkward_block(np.random.default_rng(6), 3, 40)[:, ::3]
+        want = _stage_sums([s1, s2], x).tobytes()
+        assert run_numpy(sched, x).tobytes() == want, kind
+        assert _per_op_oracle(sched, x).tobytes() == want, kind
+        assert _tiled(sched, x[:, None, :]).tobytes() == want, kind
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
@@ -192,6 +347,15 @@ def test_wave_compile_rejects_reads_before_writes():
         sched.waves()
 
 
+@pytest.mark.parametrize("op", [Op(ADD, 3, 0, 2), Op(CP, 1, 0, -1, 1.0)],
+                         ids=["unwritten-read", "input-write"])
+def test_tile_form_rejects_unsafe_schedules(op):
+    # the tile form reads input rows in place and never zeroes its slots
+    sched = Schedule((op,), 2, 1, 3, 4)
+    with pytest.raises(ValueError, match="overwrites an input or reads an unwritten slot"):
+        run_numpy(sched, np.ones((2, TILE + 1), dtype=np.complex128))
+
+
 # ---------------------------------------------------------------------------
 # the meter: one charge rule per one-op schedule
 
@@ -217,7 +381,7 @@ def test_meter_charges_each_opcode_as_its_static_cost(entry, charge):
 @pytest.mark.parametrize("row,code", [([1, 1], ADD), ([1, -1], SUB)], ids=["ADD", "SUB"])
 def test_meter_charges_complex_add_and_subtract(row, code):
     sched = compile_stages([np.array([row])], 2)
-    assert [op.code for op in sched.ops] == [CP, code]
+    assert [op.code for op in sched.ops] == [code]  # the leading copy is propagated
     m = metered(np.ones((2, 5)))
     run_numpy(sched, m)
     assert m.op_count() == OpCount(0, 10, 0)

@@ -8,9 +8,12 @@
 ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 {3, 11, 31}: ``execute`` on a 1-D signal and at batch 1 and 64,
 ``dense_matrix``, the scale values of scaled plans, and the
-``count_plan``/``instrumented_count`` triples. Arrays above 4096 entries
-are stored as the SHA-256 of their bytes. ``compare`` exits 1 on any
-missing item or bit difference.
+``count_plan``/``instrumented_count`` triples. ``execute`` also runs at
+batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
+and a random mix of +0 and -0, so the byte comparison gates the sign of
+every zero in the output. Arrays above 4096 entries are stored as the
+SHA-256 of their bytes. ``compare`` exits 1 on any missing item or bit
+difference.
 """
 
 import hashlib
@@ -47,6 +50,21 @@ def plans(pfadft):
             yield f"tree{s}.{t}", pfadft.ExecutionPlan(tree, "csd")
 
 
+def complex_parts(re, im):
+    """Complex array with exactly these parts, zero signs included."""
+    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(np.complex128)[..., 0]
+
+
+def zero_sign_inputs(x, rng):
+    """Real, imaginary, impulse and signed-zero blocks shaped like x."""
+    n, width = x.shape
+    impulse = np.zeros((n, width))
+    impulse[np.arange(width) % n, np.arange(width)] = 1.0
+    zeros = np.copysign(0.0, rng.standard_normal((2, n, width)))
+    return {"real": complex_parts(x.real, 0.0), "imag": complex_parts(0.0, x.imag),
+            "impulse": complex_parts(impulse, 0.0), "zeros": complex_parts(*zeros)}
+
+
 def dump(src_root, out):
     sys.path.insert(0, src_root)
     import pfadft
@@ -65,6 +83,9 @@ def dump(src_root, out):
         put(f"{name}/execute-1d", pfadft.execute(p, x[:, 0]))
         put(f"{name}/execute-b1", pfadft.execute(p, x[:, :1]))
         put(f"{name}/execute-b64", pfadft.execute(p, x))
+        for kind, z in zero_sign_inputs(x, rng).items():
+            put(f"{name}/execute-{kind}-b1", pfadft.execute(p, z[:, :1]))
+            put(f"{name}/execute-{kind}-b64", pfadft.execute(p, z))
         put(f"{name}/dense", pfadft.dense_matrix(p))
         if p.scale_mode != "none":
             put(f"{name}/scale", pfadft.assemble_scale(p).values())
