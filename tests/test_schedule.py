@@ -144,7 +144,8 @@ def _awkward_block(rng, n, width):
     return x
 
 
-@pytest.mark.parametrize("width", [1, 33, WAVE_COLUMNS, WAVE_COLUMNS + 1, TILE + 7])
+@pytest.mark.parametrize("width", sorted({1, 33, WAVE_COLUMNS, WAVE_COLUMNS + 1,
+                                            1024, 1025, TILE + 7}))
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_executor_is_bit_identical_to_per_op_loop(name, width):
     sched = SCHEDULES[name]()
