@@ -8,21 +8,36 @@ row pairs sum to the full-circle energy and the grand total ties out to
 the matrix error energy.
 
 The paper's error tables come from the leaf factors, never from the placed
-n x n matrix (Van Loan, "The ubiquitous Kronecker product", J. Comput.
-Appl. Math. 2000). In CRT grid coordinates a plan is S * (kron_l T_l), and
-the exact DFT is kron_l F_l. Every exact entry has modulus 1, so
-|A - F| = |A conj(F) - 1|, and epsilon and MAPE are one pass over the grid
-array s_grid * kron_l (T_l o conj(F_l)) - 1, with no scatter. By the
-residue rule S is constant on each block of rows whose leaf indices are
-zero on the same leaves, so phi follows from per-block norms of the leaf
-Grams T_l T_l^H. The response error takes one FFT of A - F per row and
-reads each exact row's peak off the closed-form Dirichlet kernel. The
-dense functions of ``pfadft.design`` (``error_energy``, ``mape``,
-``orth_deviation``) stay the oracle the tests hold these figures to.
+n x n matrix or the n-point DFT matrix (Van Loan, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 2000). In CRT grid coordinates
+a plan is S * (kron_l T_l), and the exact DFT is kron_l F_l. Every exact
+entry has modulus 1, so |A - F| = |A conj(F) - 1|, the grid array
+s_grid * kron_l (T_l o conj(F_l)) - 1. An exact leaf's factor
+T_l o conj(F_l) is all ones, and by the residue rule the scale does not
+vary along its axis, so epsilon and MAPE are one pass over the sub-grid of
+the approximate leaves, each cell weighted by prod n_l^2 over the exact
+leaves; a plan with no approximate leaf gives exactly 0. The scale is
+also constant on each block of rows whose leaf indices are zero on the
+same leaves, so phi follows from per-block norms of the leaf Grams
+T_l T_l^H.
+
+Row K of a plan is s_K * prod_l T_l[K u_l mod n_l, m mod n_l], u_l the
+inverse of n / n_l modulo n_l (see ``pfadft.pfa``), and of the DFT the same
+product of the leaf DFTs, so any rows of A - F are built from the leaf
+matrices alone. The response error
+takes one FFT of such a row per row K = 1 .. n // 2 and reads each exact
+row's peak off the closed-form Dirichlet kernel: row n - K of A - F is
+the conjugate of row K (each kernel's rows pair by conjugation, and the
+scale is even in K), so |H_{n-K}(w)| = |H_K(-w)| and the two rows share
+their maximum over the symmetric grid. A plan with no approximate leaf
+gives ``DB_FLOOR``. The dense functions of ``pfadft.design``
+(``error_energy``, ``mape``, ``orth_deviation``) stay the oracle the tests
+hold these figures to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -30,10 +45,13 @@ import numpy as np
 
 from .design import ErrorReport
 from .exactdft import dft_matrix
-from .pfa import (ExecutionPlan, assemble_scale, build_index_maps, dense_matrix, execute,
-                  leaf_matrix, plan, tree_leaves)
+from .pfa import (ExecutionPlan, assemble_scale, build_index_maps, execute, leaf_matrix, plan,
+                  tree_leaves)
 
 DB_FLOOR = -300.0
+#: rows of A - F built and transformed at a time, which bounds the memory of
+#: the row tables and the response error
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +80,10 @@ def row_error_energies(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     [0, pi] equals pi*||d||^2 + sum over odd lags u of (4/u) Im C_u with
     C_u the lag-u autocorrelation of d. Even lags integrate to zero.
     """
-    D = np.asarray(approx) - np.asarray(exact)
+    return _half_spectrum_energies(np.asarray(approx) - np.asarray(exact))
+
+
+def _half_spectrum_energies(D: np.ndarray) -> np.ndarray:
     n = D.shape[1]
     nfft = 1
     while nfft < 2 * n:
@@ -75,12 +96,48 @@ def row_error_energies(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     return base + cross
 
 
+def _difference_blocks(plan_: ExecutionPlan, rows: np.ndarray):
+    """Rows ``rows`` of A - F from the leaf matrices, ``ROW_BLOCK`` at a
+    time, each block a C-contiguous (rows, n) array.
+
+    Entry (K, m) is s_K * prod_l T_l[i_l, k_l] - prod_l F_l[i_l, k_l] with
+    i_l = K u_l mod n_l and k_l = m mod n_l (see the module docstring). An
+    exact leaf has T_l = F_l, so it multiplies the difference of the
+    approximate leaves' products. The products run over the grid columns
+    (k_l) in row-major order; one gather puts them in input order.
+    """
+    leaves = tree_leaves(plan_.tree)
+    lengths = tuple(leaf.n for leaf in leaves)
+    n = plan_.n
+    # per leaf: u_l, its axis as a broadcast shape, T_l (None on an exact leaf), F_l
+    tables = [(pow(n // leaf.n, -1, leaf.n),
+               tuple(leaf.n if a == axis else 1 for a in range(len(leaves))),
+               leaf_matrix(leaf) if leaf.kind == "approx" else None, dft_matrix(leaf.n))
+              for axis, leaf in enumerate(leaves)]
+    scale = assemble_scale(plan_).values()
+    order = np.argsort(build_index_maps(*lengths).forward)
+    for lo in range(0, len(rows), ROW_BLOCK):
+        K = rows[lo:lo + ROW_BLOCK]
+        t_prod, f_prod, exact_legs = 1.0, 1.0, []
+        for u, shape, T, F in tables:
+            i = K * u % F.shape[0]
+            F_i = F[i].reshape(len(K), *shape)
+            if T is None:
+                exact_legs.append(F_i)
+            else:
+                t_prod = t_prod * T[i].reshape(len(K), *shape)
+                f_prod = f_prod * F_i
+        D = t_prod * scale[K].reshape(len(K), *(1,) * len(leaves)) - f_prod
+        for F_i in exact_legs:
+            D = D * F_i
+        yield np.take(D.reshape(len(K), n), order, axis=1)
+
+
 def row_error_table(variant, n=None):
     """Per-row half-spectrum error energies of a variant, 0-indexed rows."""
     p = _as_plan(variant, n)
-    approx = dense_matrix(p)
-    exact = dft_matrix(p.n)
-    energies = row_error_energies(approx, exact)
+    energies = np.concatenate([_half_spectrum_energies(D)
+                               for D in _difference_blocks(p, np.arange(p.n))])
     return [RowErrorEnergy(i, float(e)) for i, e in enumerate(energies)]
 
 
@@ -151,18 +208,20 @@ def _dirichlet_peaks(n: int, grid_points: int) -> np.ndarray:
 def response_error_max_db(variant, n=None, grid_points=None) -> float:
     """Worst response-error level over all non-DC rows of a variant.
 
-    By linearity H - Hhat is one FFT of the row difference; each exact
-    row's peak |H| comes from the closed form.
+    By linearity H - Hhat is one FFT of the row difference, taken for rows
+    1 .. n // 2 only, since row n - K mirrors row K; each exact row's peak
+    |H| comes from the closed form (see the module docstring).
     """
     p = _as_plan(variant, n)
     grid = grid_points or (8192 if p.n > 64 else 4096)
     if grid < 2 * p.n:
         raise ValueError("grid must oversample the row at least twice")
-    D = dense_matrix(p) - dft_matrix(p.n)
-    # blocks of 128 rows keep the spectra small; each row's FFT is the same
-    err = np.concatenate([np.abs(np.fft.fft(D[lo:lo + 128], grid, axis=1)).max(axis=1)
-                          for lo in range(0, p.n, 128)])
-    worst = np.max(err[1:] / _dirichlet_peaks(p.n, grid)[1:])
+    if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
+        return DB_FLOOR
+    rows = np.arange(1, p.n // 2 + 1)
+    err = np.concatenate([np.abs(np.fft.fft(D, grid, axis=1)).max(axis=1)
+                          for D in _difference_blocks(p, rows)])
+    worst = np.max(err / _dirichlet_peaks(p.n, grid)[rows])
     return float(20.0 * np.log10(max(worst, 10.0 ** (DB_FLOOR / 20.0))))
 
 
@@ -181,12 +240,27 @@ def plan_error_figures(plan_: ExecutionPlan) -> ErrorReport:
     mats = [leaf_matrix(leaf) for leaf in leaves]
     s_grid = assemble_scale(plan_).values()[build_index_maps(*lengths).inverse]
 
-    D = reduce(np.kron, [T * dft_matrix(m).conj() for T, m in zip(mats, lengths)])
-    D *= s_grid[:, None]
-    D -= 1.0
-    dev = np.abs(D).ravel()
-    epsilon = np.pi * float(dev @ dev)
-    mape_percent = 100.0 * float(dev.sum()) / n ** 3
+    # epsilon and MAPE over the approximate leaves' sub-grid, one block of
+    # rows per row of the first approximate leaf
+    is_approx = [leaf.kind == "approx" for leaf in leaves]
+    s_cube = s_grid.reshape(lengths)
+    s_sub = s_cube[tuple(slice(None) if a else slice(1) for a in is_approx)]
+    if not np.array_equal(np.broadcast_to(s_sub, lengths), s_cube):
+        raise AssertionError("scale is not constant along an exact leaf's axis")
+    factors = [T * dft_matrix(m).conj() for T, m, a in zip(mats, lengths, is_approx) if a]
+    first, *others = factors or [np.ones((1, 1))]
+    rest = reduce(np.kron, others, np.ones((1, 1)))
+    sq_sum = abs_sum = 0.0
+    for s_rows, row in zip(s_sub.reshape(len(first), -1, 1), first):
+        D = np.multiply.outer(rest, row).reshape(len(rest), -1)
+        D *= s_rows
+        D -= 1.0
+        dev = np.abs(D).ravel()
+        sq_sum += float(dev @ dev)
+        abs_sum += float(dev.sum())
+    weight = math.prod(m * m for m, a in zip(lengths, is_approx) if not a)
+    epsilon = np.pi * sq_sum * weight
+    mape_percent = 100.0 * abs_sum * weight / n ** 3
 
     # zero pattern of each grid row, (i_l != 0)_l read as a row-major index
     # into the Kronecker product of the per-leaf 2 x 2 blocks below

@@ -1,13 +1,20 @@
+import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import pfadft
+import pfadft.analysis
+import pfadft.exactdft
+import pfadft.pfa
 from conftest import coprime_plans
-from pfadft.analysis import (cosine_probe, filter_response, ground_error_table,
-                             plan_error_figures, response_error_curve, response_error_max_db,
-                             row_error_energies, row_error_table, worst_rows)
+from pfadft.analysis import (DB_FLOOR, composed_error_table, cosine_probe, filter_response,
+                             ground_error_table, plan_error_figures, response_error_curve,
+                             response_error_max_db, row_error_energies, row_error_table,
+                             worst_rows)
 from pfadft.complexity import COMPOSED_VARIANTS
 from pfadft.design import error_energy, mape, orth_deviation
 from pfadft.exactdft import dft_matrix
@@ -185,22 +192,138 @@ class TestStructuredErrorFigures:
             assert tuple(figs) == plan_error_figures(plan(n, variant)).as_tuple()
 
 
+def _two_fft_response_db(plans, grid):
+    """The full-row formula for plans of one length: both responses of every
+    non-DC row by FFT, each row normalized by its own grid peak. The exact
+    rows' FFT, 128 rows at a time, is shared by the plans."""
+    n = plans[0].n
+    dense = [dense_matrix(p) for p in plans]
+    worst = np.zeros(len(plans))
+    for lo in range(1, n, 128):
+        H = np.fft.fft(_exact(n)[lo:lo + 128], grid, axis=1)
+        peaks = np.abs(H).max(axis=1)
+        for j, A in enumerate(dense):
+            Ha = np.fft.fft(A[lo:lo + 128], grid, axis=1)
+            worst[j] = max(worst[j], np.max(np.abs(Ha - H).max(axis=1) / peaks))
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(worst)
+
+
+def _assert_response_matches_two_fft(*plans):
+    grid = 8192 if plans[0].n > 64 else 4096
+    for p, want in zip(plans, _two_fft_response_db(plans, grid)):
+        got = response_error_max_db(p)
+        if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
+            assert got == DB_FLOOR and want <= -200.0  # the formula reads rounding noise
+        else:
+            assert abs(got - want) <= 1e-9, p.variant_label
+
+
+# even n: row n / 2 pairs with itself
+EVEN_PLANS = [
+    {"n": 6, "tree": [3, 2], "kernels": {"3": "approx", "2": "exact"}, "scale": "none"},
+    {"n": 62, "tree": [2, 31], "kernels": {"2": "exact", "31": "approx"}, "scale": "csd"},
+    {"n": 132, "tree": [[4, 3], 11], "kernels": {"4": "definition", "3": "approx", "11": "approx"},
+     "scale": "exact"},
+]
+
+
 class TestResponseErrorMax:
     @pytest.mark.parametrize("variant", ["csd", "scaled"])
     @pytest.mark.parametrize("n", [3, 11, 31, 1023])
     def test_matches_two_fft_formula(self, n, variant):
         grid = 8192 if n > 64 else 4096
-        A = dense_matrix(plan(n, variant))
-        F = _exact(n)
-        H = np.fft.fftshift(np.fft.fft(F, grid, axis=1), axes=1)
-        Ha = np.fft.fftshift(np.fft.fft(A, grid, axis=1), axes=1)
-        err = np.abs(Ha - H) / np.max(np.abs(H), axis=1)[:, None]
-        want = 20.0 * np.log10(np.max(err[1:]))
+        want, = _two_fft_response_db([plan(n, variant)], grid)
         assert abs(response_error_max_db(variant, n) - want) <= 1e-9
+
+    @pytest.mark.parametrize("variants", [
+        (f"hybrid-{leg}-scaled", f"hybrid-{leg}-csd") for leg in ("I", "II", "III", "IV", "V", "VI")
+    ] + [("unscaled",)], ids=lambda variants: variants[0].rsplit("-", 1)[0])
+    def test_composed_variants_match_two_fft_formula(self, variants):
+        _assert_response_matches_two_fft(*(plan(1023, v) for v in variants))
+
+    @pytest.mark.parametrize("obj", EVEN_PLANS, ids=lambda obj: f"n{obj['n']}")
+    def test_even_lengths_match_two_fft_formula(self, obj):
+        _assert_response_matches_two_fft(plan_from_json(json.dumps(obj)))
+
+    @settings(deadline=None, max_examples=20)
+    @given(coprime_plans(max_n=420))
+    def test_random_trees_match_two_fft_formula(self, text):
+        _assert_response_matches_two_fft(plan_from_json(text))
 
     def test_undersampled_grid_rejected(self):
         with pytest.raises(ValueError):
             response_error_max_db("csd", 31, grid_points=32)
+
+
+class TestExactPlans:
+    """A plan with no approximate leaf computes the DFT: its figures are
+    exactly zero, not the rounding noise of an n-point DFT matrix."""
+
+    @pytest.mark.parametrize("variant", ["exact", "exact-definition"])
+    @pytest.mark.parametrize("n", [3, 11, 31, 1023])
+    def test_figures_are_zero(self, n, variant):
+        p = plan(n, variant)
+        assert plan_error_figures(p).as_tuple() == (0.0, 0.0, 0.0)
+        assert response_error_max_db(p) == DB_FLOOR
+
+    @pytest.mark.parametrize("variant", ["exact", "exact-definition"])
+    def test_row_energies_are_zero(self, variant):
+        assert all(r.energy == 0.0 for r in row_error_table(variant, 1023))
+
+
+class TestRowTables:
+    @settings(deadline=None, max_examples=20)
+    @given(coprime_plans(max_n=420))
+    def test_random_trees_match_dense_difference(self, text):
+        p = plan_from_json(text)
+        want = row_error_energies(dense_matrix(p), _exact(p.n))
+        got = np.array([r.energy for r in row_error_table(p)])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
+
+    def test_hybrid_matches_dense_difference(self):
+        p = plan(1023, "hybrid-V-csd")
+        want = row_error_energies(dense_matrix(p), _exact(1023))
+        got = np.array([r.energy for r in row_error_table(p)])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
+
+
+class TestTableMemory:
+    """The paper tables build no n-point matrix and stay small in memory
+    (tracemalloc peaks before this layout: 24.0 and 47.9 MiB)."""
+
+    def test_no_n_point_matrices(self, monkeypatch):
+        sizes = []
+        real = pfadft.exactdft.dft_matrix
+
+        def spy(n):
+            sizes.append(n)
+            return real(n)
+
+        def forbidden(*args):
+            raise AssertionError("dense_matrix called")
+        for module in (pfadft.exactdft, pfadft.pfa, pfadft.analysis):
+            monkeypatch.setattr(module, "dft_matrix", spy)
+        for module in (pfadft, pfadft.pfa, pfadft.analysis):
+            monkeypatch.setattr(module, "dense_matrix", forbidden, raising=False)
+        composed_error_table()
+        response_error_max_db("csd", 1023)
+        assert sizes and max(sizes) <= 31
+
+    @pytest.mark.parametrize("call, bound_mib", [
+        ((composed_error_table,), 6.0),
+        ((response_error_max_db, "csd", 1023), 24.0),
+    ], ids=["composed_error_table", "response_error_max_db"])
+    def test_tracemalloc_peak(self, call, bound_mib):
+        fn, *args = call
+        fn(*args)  # warm the plan, scale and kernel caches
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
 
 class TestReferenceTables:

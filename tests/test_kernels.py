@@ -88,6 +88,15 @@ class TestKernelMatrices:
         vals = set(np.abs(T.real).ravel()) | set(np.abs(T.imag).ravel())
         assert vals <= {0.0, 0.5, 1.0}
 
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_mirrored_rows_are_conjugates(self, n):
+        # the response error transforms only rows 1 .. n // 2 on this symmetry
+        T = kernel(n)
+        mirror, conj = T[n - np.arange(1, n)], np.conj(T[1:])
+        # exact equality, which is bit for bit up to the sign of a zero: the
+        # kernel's zero entries do not mirror their signs
+        assert np.array_equal(mirror, conj)
+
     def test_unsupported_length_rejected(self):
         with pytest.raises(ValueError):
             kernel(5)
