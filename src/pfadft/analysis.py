@@ -24,15 +24,14 @@ T_l T_l^H.
 Row K of a plan is s_K * prod_l T_l[K u_l mod n_l, m mod n_l], u_l the
 inverse of n / n_l modulo n_l (see ``pfadft.pfa``), and of the DFT the same
 product of the leaf DFTs, so any rows of A - F are built from the leaf
-matrices alone. The response error
-takes one FFT of such a row per row K = 1 .. n // 2 and reads each exact
-row's peak off the closed-form Dirichlet kernel: row n - K of A - F is
-the conjugate of row K (each kernel's rows pair by conjugation, and the
-scale is even in K), so |H_{n-K}(w)| = |H_K(-w)| and the two rows share
-their maximum over the symmetric grid. A plan with no approximate leaf
-gives ``DB_FLOOR``. The dense functions of ``pfadft.design``
-(``error_energy``, ``mape``, ``orth_deviation``) stay the oracle the tests
-hold these figures to.
+matrices alone. The response error takes one FFT of such a row per row
+K = 1 .. n // 2 and reads each exact row's peak off the closed-form
+Dirichlet kernel: row n - K of A - F is the conjugate of row K (each
+kernel's rows pair by conjugation, and the scale is even in K), so
+|H_{n-K}(w)| = |H_K(-w)| and the two rows share their maximum over the
+symmetric grid. A plan with no approximate leaf gives ``DB_FLOOR``. The
+dense functions of ``pfadft.design`` (``error_energy``, ``mape``,
+``orth_deviation``) stay the oracle the tests hold these figures to.
 """
 
 from __future__ import annotations
