@@ -23,7 +23,7 @@ from .schedule import OpCount
 def count_plan(plan_: ExecutionPlan) -> OpCount:
     """Static count of a plan: each leaf's runs times its cost, plus the scale."""
     n = plan_.n
-    total = sum(((n // leaf.n) * leaf_schedule(leaf).static_count()
+    total = sum(((n // leaf.n) * leaf_schedule(leaf).static_count
                  for leaf in tree_leaves(plan_.tree)), OpCount())
     if plan_.scale_mode != "none":
         total = total + assemble_scale(plan_).op_count()

@@ -48,7 +48,7 @@ class KernelFactorization:
 
     @property
     def op_count(self) -> OpCount:
-        return self.schedule.static_count()
+        return self.schedule.static_count
 
     def dense(self) -> np.ndarray:
         """Exact dense expansion of the factorization (integer arithmetic)."""

@@ -127,7 +127,10 @@ class Node:
     right: object  # transform of length n2 (inner/column factor)
 
     def __post_init__(self):
-        if math.gcd(tree_length(self.left), tree_length(self.right)) != 1:
+        n1, n2 = tree_length(self.left), tree_length(self.right)
+        if 1 in (n1, n2):
+            raise ValueError("node factors must be longer than 1")
+        if math.gcd(n1, n2) != 1:
             raise ValueError("node factors must be coprime")
 
 
@@ -389,7 +392,13 @@ def plan_to_json(plan_: ExecutionPlan) -> str:
 
 
 def plan_from_json(text: str) -> ExecutionPlan:
-    obj = json.loads(text)
+    try:
+        return _plan_from_obj(json.loads(text))
+    except RecursionError:  # from json or from the tree, nested too deeply
+        raise ValueError("plan nests too deeply") from None
+
+
+def _plan_from_obj(obj) -> ExecutionPlan:
     if not isinstance(obj, dict):
         raise ValueError("plan must be a JSON object")
     missing = [k for k in ("n", "tree", "kernels") if k not in obj]

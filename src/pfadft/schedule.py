@@ -9,16 +9,20 @@ numpy call from the ufunc and the values of its constant operand, never
 from the opcode table, so it is an independent check on the static count
 that measures the code which actually runs.
 
-The compiler propagates copies and negations into their consumers instead
-of running them (see ``compile_stages``), as FFTW's codelet generator does
-(Frigo, PLDI 1999): the approximate 31-, 11- and 3-point kernels hold 721,
-101 and 9 ops, not 798, 128 and 16. Only free ops go, so no count moves.
+There are five opcodes: CP (a copy or negation), ADD, SUB, MUL (a product
+by a constant, priced from the constant) and MULCC (a product by a general
+complex constant, spelled out). Each op carries one complex constant: CP its
+sign, MUL and MULCC their multiplier. The compiler propagates copies and
+negations into their consumers instead of running them (see
+``compile_stages``), as FFTW's codelet generator does (Frigo, PLDI 1999):
+the approximate 31-, 11- and 3-point kernels hold 721, 101 and 9 ops, not
+798, 128 and 16. Only free ops go, so no count moves.
 
 The numpy executor runs a list in one of two forms, chosen by the width of
 the block. A narrow block runs as compiled waves: every write gets a fresh
 row, each op sits one level above its operands, and the ops of one level
 and opcode run as one numpy call, which runs the 721 ops of the 31-point
-approximate kernel as 36 calls. A wide block runs the list op by op over
+approximate kernel as 34 calls. A wide block runs the list op by op over
 ``TILE`` (4096) column tiles of one reused slot array, which keeps the rows
 each op touches in cache; the ops read the input rows in place. Waves hold
 one row per op, so they lose once those rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15),
@@ -45,24 +49,21 @@ Cost conventions (used repo-wide):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 # opcodes
-CP = 0      # dst = +-src                      (free)
-ADD = 1     # dst = src1 + src2                (2 adds)
-SUB = 2     # dst = src1 - src2                (2 adds)
-HALF = 3    # dst = (p + j q) / 2 * src, p = +-1 (2 shifts)
-MULJ = 4    # dst = sign * j * src             (free)
-JHALF = 5   # dst = sign * j * src / 2         (2 shifts)
-LC = 6      # dst = (p + j q) * src, p,q in {+-1/2, +-1}, both nonzero
-MULRE = 7   # dst = (p + j q) * src, general p (2 mults)
-MULIM = 8   # dst = j c * src, general real c  (2 mults)
-MULCC = 9   # dst = (a + j b) * src, general   (3 mults + 3 adds)
-# HALF and MULRE keep q = +-0: a folded negation flips it with p, so the
-# constant is the exact negation, zero sign included
+CP = 0      # dst = c * src, c = +-1 (a float)   (free)
+ADD = 1     # dst = src1 + src2                  (2 adds)
+SUB = 2     # dst = src1 - src2                  (2 adds)
+MUL = 3     # dst = c * src, c real or imaginary, or p + jq with p, q in {+-1/2, +-1}
+            # (priced from c by ``_mul_cost``)
+MULCC = 4   # dst = c * src, c general complex   (3 mults + 3 adds)
+# A real entry r becomes c = complex(r, +0.0) and an imaginary one 1j * im;
+# a folded negation is -c, zero signs included.
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ class Op:
     dst: int
     src1: int
     src2: int = -1
-    p: float = 0.0
-    q: float = 0.0
+    c: complex = 0j
 
 
 @dataclass(frozen=True)
@@ -97,51 +97,56 @@ class OpCount:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Flat operation list mapping n_in input slots to n_out output slots."""
+    """Flat operation list mapping n_in input slots to n_out output slots.
+
+    Construction raises ``ValueError`` unless every op reads only slots
+    written before it and writes no input slot.
+    """
 
     ops: tuple
     n_in: int
     n_out: int
     out_base: int
     n_slots: int
-    _count: OpCount = field(init=False, default=None, repr=False, compare=False)
-    _waves: "CompiledWaves" = field(init=False, default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the wave form renames each read to its latest write, and the tile
+        # form reads the input rows in place and never zeroes its slots
+        written = set(range(self.n_in))
+        for i, op in enumerate(self.ops):
+            if op.dst < self.n_in or not {op.src1, op.src2} - {-1} <= written:
+                raise ValueError(f"op {i} overwrites an input or reads an unwritten slot")
+            written.add(op.dst)
+
+    @cached_property
     def static_count(self) -> OpCount:
-        """Total static cost of the list, folded on the first call only."""
-        if self._count is None:
-            object.__setattr__(self, "_count", sum(
-                (_OPCODES[op.code].cost(op) for op in self.ops), OpCount()))
-        return self._count
+        """Total static cost of the list."""
+        return sum((_OPCODES[op.code].cost(op.c) for op in self.ops), OpCount())
 
+    @cached_property
     def waves(self) -> "CompiledWaves":
-        """The list compiled into dependency waves, on the first call only."""
-        if self._waves is None:
-            object.__setattr__(self, "_waves", _compile_waves(self))
-        return self._waves
+        """The list compiled into dependency waves."""
+        return _compile_waves(self)
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The list as (numpy action, dst, src1, src2, constant) steps of the
+        op-by-op tile form."""
+        return tuple((_OPCODES[op.code].numpy, op.dst, op.src1, op.src2, op.c)
+                     for op in self.ops)
 
 
 def _classify(z: complex):
-    """Map a matrix entry onto an opcode plus parameters; None means zero."""
+    """Map a matrix entry onto (opcode, constant); None means zero."""
     re, im = z.real, z.imag
     if re == 0.0 and im == 0.0:
         return None
-    trivial = {1.0: 1.0, -1.0: -1.0, 0.5: 0.5, -0.5: -0.5}
     if im == 0.0:
-        if re in (1.0, -1.0):
-            return (CP, re, 0.0)
-        if re in (0.5, -0.5):
-            return (HALF, 2 * re, 0.0)
-        return (MULRE, re, 0.0)
+        return (CP, re) if re in (1.0, -1.0) else (MUL, complex(re, 0.0))
     if re == 0.0:
-        if im in (1.0, -1.0):
-            return (MULJ, im, 0.0)
-        if im in (0.5, -0.5):
-            return (JHALF, 2 * im, 0.0)
-        return (MULIM, im, 0.0)
-    if re in trivial and im in trivial:
-        return (LC, re, im)
-    return (MULCC, re, im)
+        return (MUL, 1j * im)
+    short = (0.5, 1.0, -0.5, -1.0)
+    return (MUL if re in short and im in short else MULCC, complex(re, im))
 
 
 def compile_stages(stages, n: int) -> Schedule:
@@ -186,15 +191,14 @@ def compile_stages(stages, n: int) -> Schedule:
             if not terms:
                 raise ValueError("schedule compiler does not support all-zero rows")
             dst = out_base + r
-            for k, (j, (code, p, q)) in enumerate(terms):
+            for k, (j, (code, c)) in enumerate(terms):
                 src, sign = alias.get(base + j, (base + j, 1.0))
                 if code == CP:
-                    sign *= p
+                    sign *= c
                 else:
-                    if sign < 0:  # a product of -a takes the negated constant
-                        p, q = -p, -q
                     term = dst if k == 0 else scratch
-                    ops.append(Op(code, term, src, -1, p, q))
+                    # a product of -a takes the negated constant
+                    ops.append(Op(code, term, src, -1, -c if sign < 0 else c))
                     src, sign = term, 1.0
                 if k == 0:
                     if code == CP:
@@ -312,19 +316,21 @@ def _mul_charge(c: complex) -> tuple:
 # opcode table and executors
 
 class _OpKind(NamedTuple):
-    cost: Callable    # op -> static OpCount
-    const: Callable   # op -> constant operand of the numpy action, or None
-    numpy: Callable   # (out, src1, src2, const) -> None, writes out; rows or blocks of rows
+    cost: Callable    # op constant -> static OpCount
+    numpy: Callable   # (out, src1, src2, constant) -> None, writes out; rows or blocks of rows
 
 
 _FREE = OpCount()
 _ADDS = OpCount(0, 2, 0)
-_SHIFTS = OpCount(0, 0, 2)
-_MULTS = OpCount(2, 0, 0)
 
 
-def _lc_cost(op: Op) -> OpCount:
-    return OpCount(0, 2, (2 if abs(op.p) == 0.5 else 0) + (2 if abs(op.q) == 0.5 else 0))
+def _mul_cost(c: complex) -> OpCount:
+    """Static cost of a product by c: per nonzero part of c, 2 shifts for
+    +-1/2, 2 mults for anything but +-1, and 2 adds to join two parts."""
+    parts = [abs(v) for v in (c.real, c.imag) if v]
+    halves = parts.count(0.5)
+    mults = len(parts) - halves - parts.count(1.0)
+    return OpCount(2 * mults, 2 * (len(parts) - 1), 2 * halves)
 
 
 def _np_cp(out, a, b, sign):
@@ -334,37 +340,27 @@ def _np_cp(out, a, b, sign):
         np.negative(a, out=out)
 
 
-def _np_mul(out, a, b, c):
-    np.multiply(a, c, out=out)
-
-
-def _np_mulcc(out, z, b, pq):
-    """(p + jq) z, spelled out so the result does not depend on how the
-    vectorized complex multiply fuses its operations.
+def _np_mulcc(out, z, b, c):
+    """c z for c = p + jq, spelled out so the result does not depend on how
+    the vectorized complex multiply fuses its operations.
 
     It runs on plain views and charges a metered ``out`` as one unit at the
     cost convention's 3 mults + 3 adds. That is a known gap: the spelled-out
     form performs 4 mults and 2 adds. The 3-mult form would close it, but
     would move the last bits of every by-definition leaf's output.
     """
-    p, q = pq
+    p, q = c.real, c.imag
     z = z.view(np.ndarray)
     np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out.view(np.ndarray))
     _charge(getattr(out, "tally", None), (3, 3, 0), out.size)
 
 
 _OPCODES = {
-    CP: _OpKind(lambda op: _FREE, lambda op: op.p, _np_cp),
-    ADD: _OpKind(lambda op: _ADDS, lambda op: None, lambda out, a, b, c: np.add(a, b, out=out)),
-    SUB: _OpKind(lambda op: _ADDS, lambda op: None,
-                 lambda out, a, b, c: np.subtract(a, b, out=out)),
-    HALF: _OpKind(lambda op: _SHIFTS, lambda op: complex(0.5 * op.p, 0.5 * op.q), _np_mul),
-    MULJ: _OpKind(lambda op: _FREE, lambda op: 1j * op.p, _np_mul),
-    JHALF: _OpKind(lambda op: _SHIFTS, lambda op: 0.5j * op.p, _np_mul),
-    LC: _OpKind(_lc_cost, lambda op: complex(op.p, op.q), _np_mul),
-    MULRE: _OpKind(lambda op: _MULTS, lambda op: complex(op.p, op.q), _np_mul),
-    MULIM: _OpKind(lambda op: _MULTS, lambda op: 1j * op.p, _np_mul),
-    MULCC: _OpKind(lambda op: OpCount(3, 3, 0), lambda op: (op.p, op.q), _np_mulcc),
+    CP: _OpKind(lambda c: _FREE, _np_cp),
+    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out)),
+    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out)),
+    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out)),
+    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc),
 }
 
 
@@ -383,7 +379,7 @@ class Wave(NamedTuple):
     dst: slice     # the fresh contiguous rows the wave writes
     src1: object   # rows read: a slice, or an index array
     src2: object   # the same for the second operand, or None
-    const: object  # None, the CP sign, a complex column, or MULCC's (p, q) float columns
+    const: object  # None, the CP sign, or the ops' constants as a complex column
 
 
 class CompiledWaves(NamedTuple):
@@ -409,31 +405,23 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
     level = [0] * n_in                   # value -> level; value n_in + i is op i's
     args, groups = [], {}
     for i, op in enumerate(sched.ops):
-        try:
-            a = [value[op.src1]] + ([value[op.src2]] if op.src2 >= 0 else [])
-        except KeyError:
-            raise ValueError(f"op {i} reads a slot that neither the input nor an "
-                             "earlier op writes") from None
+        a = [value[op.src1]] + ([value[op.src2]] if op.src2 >= 0 else [])
         level.append(1 + max(level[v] for v in a))
         value[op.dst] = n_in + i
         args.append(a)
-        groups.setdefault((level[-1], op.code, op.p if op.code == CP else 0.0), []).append(i)
+        groups.setdefault((level[-1], op.code, op.c.real if op.code == CP else 0.0),
+                          []).append(i)
     row = list(range(n_in)) + [0] * len(sched.ops)  # value -> row of the slot array
     waves, start = [], n_in
     for (_, code, sign), members in sorted(groups.items()):
         for r, i in enumerate(members, start):
             row[n_in + i] = r
-        ops = [sched.ops[i] for i in members]
-        consts = [_OPCODES[code].const(op) for op in ops]
         if code == CP:
             const = sign
-        elif code == MULCC:
-            pq = np.array(consts)
-            const = (pq[:, :1], pq[:, 1:])
-        elif consts[0] is None:
+        elif code in (ADD, SUB):
             const = None
         else:
-            const = np.array(consts, dtype=np.complex128)[:, None]
+            const = np.array([sched.ops[i].c for i in members], dtype=np.complex128)[:, None]
         srcs = [_rows([row[args[i][k]] for i in members]) for k in range(len(args[members[0]]))]
         waves.append(Wave(code, tuple(members), slice(start, start + len(members)),
                           srcs[0], srcs[1] if len(srcs) > 1 else None, const))
@@ -460,17 +448,10 @@ def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
     columns: whole batch rows, or a part of one row when B exceeds ``TILE``.
 
     Ops read the input rows in place and write only the other slots, each
-    written before it is read, so the slot array needs no input rows and no
-    initial value.
+    written before it is read (``Schedule`` checks both), so the slot array
+    needs no input rows and no initial value.
     """
     n_in, rows, B = x.shape
-    written, steps = set(range(n_in)), []
-    for i, op in enumerate(sched.ops):
-        if op.dst < n_in or not {op.src1, op.src2} - {-1} <= written:
-            raise ValueError(f"op {i} overwrites an input or reads an unwritten slot")
-        written.add(op.dst)
-        kind = _OPCODES[op.code]
-        steps.append((kind.numpy, op.dst, op.src1, op.src2, kind.const(op)))
     k, w = max(1, TILE // B), min(B, TILE)  # batch rows and columns per tile
     tile = np.empty_like(x, shape=(sched.n_slots - n_in, min(k, rows), w))
     for r0 in range(0, rows, k):
@@ -478,7 +459,7 @@ def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
             r, b = slice(r0, min(r0 + k, rows)), slice(b0, min(b0 + w, B))
             s = tile[:, : r.stop - r0, : b.stop - b0]
             v = [*x[:, r, b], *s, None]  # slot -> its rows; slot -1 (no operand) -> None
-            for fn, dst, a, c, const in steps:
+            for fn, dst, a, c, const in sched.steps:
                 fn(v[dst], v[a], v[c], const)
             write(r, b, s[sched.out_base - n_in: sched.out_base - n_in + sched.n_out])
 
@@ -509,7 +490,7 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
         def write(r, b, y):
             o3[:, r, b] = y
     if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= sched.n_slots * TILE:
-        y = _run_waves(sched.waves(), x3.reshape(n_in, -1))
+        y = _run_waves(sched.waves, x3.reshape(n_in, -1))
         write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
     else:
         _run_tiles(sched, x3, write)

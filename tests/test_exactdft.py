@@ -69,11 +69,11 @@ class TestFastExact:
 
     @pytest.mark.parametrize("n,count", [(3, (2, 12, 2)), (11, (100, 140, 0)), (31, (900, 1020, 0))])
     def test_operation_counts(self, n, count):
-        assert exact_fast_schedule(n).static_count().as_tuple() == count
+        assert exact_fast_schedule(n).static_count.as_tuple() == count
 
     @pytest.mark.parametrize("n,count", [(3, (12, 24, 0)), (11, (300, 520, 0)), (31, (2700, 4560, 0))])
     def test_definition_counts(self, n, count):
-        assert exact_definition_schedule(n).static_count().as_tuple() == count
+        assert exact_definition_schedule(n).static_count.as_tuple() == count
 
     def test_unsupported_length_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -129,7 +129,7 @@ class TestFactorization:
 
     @pytest.mark.parametrize("n,count", [(3, (0, 20, 8)), (11, (0, 380, 160)), (31, (0, 3180, 1200))])
     def test_dense_schedule_counts(self, n, count):
-        assert approx_dense_schedule(n).static_count().as_tuple() == count
+        assert approx_dense_schedule(n).static_count.as_tuple() == count
 
 
 class TestApplyKernel:

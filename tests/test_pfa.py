@@ -213,10 +213,19 @@ class TestInputValidation:
         '{"n": 11, "tree": [11, true], "kernels": {"11": "exact", "1": "exact"}}',
         '{"n": 0, "tree": 0, "kernels": {"0": "exact"}}',
         '{"n": -3, "tree": -3, "kernels": {"-3": "exact"}}',
+        # length 1 is coprime to everything; 63 such levels would overflow
+        # numpy's 64 dimensions in execute
+        '{"n": 1, "tree": %s, "kernels": {"1": "exact"}}' % ("[1, " * 63 + "1" + "]" * 63),
     ], ids=["kernels-list", "kernels-string", "unused-kind", "duplicate-key", "padded-key",
-            "float-n", "bool-n", "bool-tree", "bool-leaf", "zero-leaf", "negative-leaf"])
+            "float-n", "bool-n", "bool-tree", "bool-leaf", "zero-leaf", "negative-leaf",
+            "length-1-factor"])
     def test_json_malformed_plan_rejected(self, text):
         with pytest.raises(ValueError):
+            plan_from_json(text)
+
+    def test_json_deep_nesting_rejected(self):
+        text = '{"n": 3, "tree": %s, "kernels": {"3": "exact"}}' % ("[" * 5000 + "3" + "]" * 5000)
+        with pytest.raises(ValueError, match="nests too deeply"):
             plan_from_json(text)
 
     @pytest.mark.parametrize("n", [0, -3, 3.0, True], ids=["zero", "negative", "float", "bool"])

@@ -11,10 +11,9 @@ from pfadft.dyadic import _all_codes
 from pfadft.exactdft import a_stage_matrix, derive_core, dft_matrix
 from pfadft.kernels import factorization
 from pfadft.pfa import Leaf, leaf_schedule
-from pfadft.schedule import (ADD, CP, HALF, JHALF, LC, MULCC, MULIM, MULJ, MULRE,
-                             SUB, TILE, WAVE_COLUMNS, Metered, Op, OpCount, Schedule,
-                             _classify, _naf_weight, _np_mulcc, compile_stages, metered,
-                             run_numpy)
+from pfadft.schedule import (ADD, CP, MUL, MULCC, SUB, TILE, WAVE_COLUMNS, Metered, Op,
+                             OpCount, Schedule, _classify, _naf_weight, _np_mulcc,
+                             compile_stages, metered, run_numpy)
 
 
 def _random_stages(rng):
@@ -49,13 +48,13 @@ def test_static_count_conventions(rng):
         [0.3, 1j, 0],       # general real mult + add -> 2 mults, 2 adds
     ])
     sched = compile_stages([M], 3)
-    assert sched.static_count() == OpCount(2, 6, 2)
+    assert sched.static_count == OpCount(2, 6, 2)
 
 
 def test_low_complexity_entry_cost():
     M = np.array([[-0.5 - 1j]])
     sched = compile_stages([M], 1)
-    assert sched.static_count() == OpCount(0, 2, 2)
+    assert sched.static_count == OpCount(0, 2, 2)
     out = run_numpy(sched, np.array([[1.0 + 2.0j]]))
     assert out[0, 0] == (1 + 2j) * (-0.5 - 1j)
 
@@ -63,7 +62,7 @@ def test_low_complexity_entry_cost():
 def test_general_complex_entry_cost():
     M = np.array([[0.8 - 0.6j]])
     sched = compile_stages([M], 1)
-    assert sched.static_count() == OpCount(3, 3, 0)
+    assert sched.static_count == OpCount(3, 3, 0)
 
 
 def test_counting_executor_matches_static(rng):
@@ -74,7 +73,7 @@ def test_counting_executor_matches_static(rng):
     m = metered(x)
     out = run_numpy(sched, m)
     assert type(out) is Metered
-    assert m.op_count() == sched.static_count()
+    assert m.op_count() == sched.static_count
     assert out.tobytes() == run_numpy(sched, x).tobytes()
     assert np.allclose(out, stages[1] @ (stages[0] @ x), atol=1e-14)
 
@@ -114,17 +113,15 @@ def _per_op_oracle(sched, x):
     slots[: sched.n_in] = x
     for op in sched.ops:
         a, out = slots[op.src1], slots[op.dst]
+        p, q = op.c.real, op.c.imag
         if op.code == CP:
-            np.copyto(out, a) if op.p > 0 else np.negative(a, out=out)
+            np.copyto(out, a) if p > 0 else np.negative(a, out=out)
         elif op.code in (ADD, SUB):
             (np.add if op.code == ADD else np.subtract)(a, slots[op.src2], out=out)
         elif op.code == MULCC:
-            np.add(a.real * op.p - a.imag * op.q, 1j * (a.real * op.q + a.imag * op.p), out=out)
+            np.add(a.real * p - a.imag * q, 1j * (a.real * q + a.imag * p), out=out)
         else:
-            # a folded negation gives a real constant a -0 imaginary part in q
-            c = {HALF: complex(0.5 * op.p, 0.5 * op.q), MULJ: 1j * op.p, JHALF: 0.5j * op.p,
-                 LC: complex(op.p, op.q), MULRE: complex(op.p, op.q), MULIM: 1j * op.p}[op.code]
-            np.multiply(a, c, out=out)
+            np.multiply(a, op.c, out=out)
     return slots[sched.out_base: sched.out_base + sched.n_out].copy()
 
 
@@ -173,29 +170,32 @@ def _stages(name):
 def _stage_sums(stages, x):
     """Each stage row summed left to right, one numpy call per term: +-1
     terms as copies, negations, adds and subtracts, other terms as products
-    with the constants of the entry classes. These are the operations a
-    schedule ran before copies were propagated, so a propagated schedule
-    must match them bit for bit."""
-    const = {HALF: lambda p, q: 0.5 * p, MULJ: lambda p, q: 1j * p,
-             JHALF: lambda p, q: 0.5j * p, LC: complex, MULRE: lambda p, q: p,
-             MULIM: lambda p, q: 1j * p}
+    with the entry's constant: complex(r, +0.0) for a real entry r, 1j * im
+    for an imaginary one. These are the operations a schedule ran before
+    copies were propagated, so a propagated schedule must match them bit for
+    bit."""
+    def const(z):
+        if z.imag == 0:
+            return complex(z.real, 0.0)
+        return 1j * z.imag if z.real == 0 else complex(z)
+
     for M in stages:
         rows = []
         for r in range(M.shape[0]):
             acc = None
             for j in np.flatnonzero(M[r]):
-                code, p, q = _classify(M[r, j])
-                if code == CP:
+                z = complex(M[r, j])
+                if z in (1, -1):
                     if acc is None:
-                        acc = x[j].copy() if p > 0 else np.negative(x[j])
+                        acc = x[j].copy() if z == 1 else np.negative(x[j])
                     else:
-                        acc = acc + x[j] if p > 0 else acc - x[j]
+                        acc = acc + x[j] if z == 1 else acc - x[j]
                     continue
                 t = np.empty_like(x[j])
-                if code == MULCC:
-                    _np_mulcc(t, x[j], None, (p, q))
+                if _classify(z)[0] == MULCC:
+                    _np_mulcc(t, x[j], None, z)
                 else:
-                    np.multiply(x[j], const[code](p, q), out=t)
+                    np.multiply(x[j], const(z), out=t)
                 acc = t if acc is None else acc + t
             rows.append(acc)
         x = np.array(rows)
@@ -235,16 +235,15 @@ def test_forms_match_stage_sums_on_zero_signs(name):
     sched = SCHEDULES[name]()
     for kind, x in zero_sign_blocks(np.random.default_rng(3), sched.n_in, 24).items():
         want = _stage_sums(_stages(name), x).tobytes()
-        assert schedule._run_waves(sched.waves(), x).tobytes() == want, kind
+        assert schedule._run_waves(sched.waves, x).tobytes() == want, kind
         assert _tiled(sched, x.reshape(sched.n_in, 4, 6)).tobytes() == want, kind
         assert _per_op_oracle(sched, x).tobytes() == want, kind
 
 
-#: (ops, waves) of each leaf schedule after copy propagation; before it the
-#: approximate kernels held 798, 128 and 16 ops in 42, 20 and 12 waves
+#: (ops, waves) of each leaf schedule, with copies propagated
 PROPAGATED = {
-    "3-approx": (9, 9), "11-approx": (101, 15), "31-approx": (721, 36),
-    "3-exact": (9, 9), "11-exact": (121, 13), "31-exact": (961, 23),
+    "3-approx": (9, 8), "11-approx": (101, 13), "31-approx": (721, 34),
+    "3-exact": (9, 8), "11-exact": (121, 12), "31-exact": (961, 22),
     "3-definition": (10, 4), "11-definition": (210, 12), "31-definition": (1830, 32),
 }
 
@@ -259,11 +258,11 @@ STATIC = {
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_propagated_op_and_wave_counts(name):
     sched = SCHEDULES[name]()
-    assert (len(sched.ops), len(sched.waves().waves)) == PROPAGATED[name]
-    assert sched.static_count().as_tuple() == STATIC[name]
+    assert (len(sched.ops), len(sched.waves.waves)) == PROPAGATED[name]
+    assert sched.static_count.as_tuple() == STATIC[name]
     m = metered(np.ones((sched.n_in, 1)))
     run_numpy(sched, m)
-    assert m.op_count() == sched.static_count()
+    assert m.op_count() == sched.static_count
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
@@ -274,7 +273,7 @@ def test_only_materialized_copies_remain(name):
         if op.code == CP:
             # an output, or the -a of -a - b, which the next op subtracts from
             assert op.dst in outputs or (
-                op.p < 0 and (after.code, after.dst, after.src1) == (SUB, op.dst, op.dst))
+                op.c.real < 0 and (after.code, after.dst, after.src1) == (SUB, op.dst, op.dst))
 
 
 def test_negations_fold_into_their_consumers():
@@ -292,12 +291,12 @@ def test_negations_fold_into_their_consumers():
     ])
     sched = compile_stages([s1, s2], 3)
     assert [op.code for op in sched.ops] == [
-        HALF, MULRE, MULJ, LC, MULCC, JHALF, MULIM, CP, SUB, SUB, ADD, SUB, CP,
-        HALF, SUB, HALF, SUB]
+        MUL, MUL, MUL, MUL, MULCC, MUL, MUL, CP, SUB, SUB, ADD, SUB, CP, MUL, SUB, MUL, SUB]
     # a constant product of a negation flips both parts of its constant
-    assert [(op.p, math.copysign(1, op.q)) for op in sched.ops[:2]] == [(-1.0, -1), (-0.3, -1)]
-    assert (sched.ops[4].p, sched.ops[4].q) == (-0.8, 0.6)
-    assert sched.static_count() == OpCount(7, 17, 10)
+    assert [(op.c.real, math.copysign(1, op.c.imag)) for op in sched.ops[:2]] == [
+        (-0.5, -1), (-0.3, -1)]
+    assert sched.ops[4].c == complex(-0.8, 0.6)
+    assert sched.static_count == OpCount(7, 17, 10)
     for kind, x in zero_sign_blocks(np.random.default_rng(5), 3, 40).items():
         x[:, ::3] = _awkward_block(np.random.default_rng(6), 3, 40)[:, ::3]
         want = _stage_sums([s1, s2], x).tobytes()
@@ -309,7 +308,7 @@ def test_negations_fold_into_their_consumers():
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_compiled_waves_cover_ops_in_dependency_order(name):
     sched = SCHEDULES[name]()
-    cw = sched.waves()
+    cw = sched.waves
     assert sorted(i for w in cw.waves for i in w.ops) == list(range(len(sched.ops)))
     rows = np.arange(cw.n_rows)
     start = sched.n_in
@@ -342,19 +341,26 @@ def test_executor_form_follows_block_width(monkeypatch):
     assert calls == ["_run_waves", "_run_tiles", "_run_waves", "_run_tiles"]
 
 
-def test_wave_compile_rejects_reads_before_writes():
-    sched = Schedule((Op(ADD, 3, 0, 2),), 2, 1, 3, 4)
-    with pytest.raises(ValueError, match="reads a slot"):
-        sched.waves()
-
-
 @pytest.mark.parametrize("op", [Op(ADD, 3, 0, 2), Op(CP, 1, 0, -1, 1.0)],
                          ids=["unwritten-read", "input-write"])
-def test_tile_form_rejects_unsafe_schedules(op):
-    # the tile form reads input rows in place and never zeroes its slots
-    sched = Schedule((op,), 2, 1, 3, 4)
+def test_schedule_rejects_unsafe_ops(op):
+    # both forms rely on it: the waves rename each write, and the tiles read
+    # input rows in place and never zero their slots
     with pytest.raises(ValueError, match="overwrites an input or reads an unwritten slot"):
-        run_numpy(sched, np.ones((2, TILE + 1), dtype=np.complex128))
+        Schedule((op,), 2, 1, 3, 4)
+
+
+def test_mul_waves_mix_constant_classes():
+    sched = SCHEDULES["31-approx"]()
+    mixed = False
+    for w in sched.waves.waves:
+        if w.code in (MUL, MULCC):
+            want = np.array([sched.ops[i].c for i in w.ops], dtype=np.complex128)[:, None]
+            assert w.const.tobytes() == want.tobytes()  # zero signs included
+            # one numpy call runs products by +-1/2, +-j and +-j/2 together
+            parts = {(abs(sched.ops[i].c.real), abs(sched.ops[i].c.imag)) for i in w.ops}
+            mixed |= parts >= {(0.5, 0.0), (0.0, 1.0), (0.0, 0.5)}
+    assert mixed
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +381,7 @@ def test_meter_charges_each_opcode_as_its_static_cost(entry, charge):
     assert len(sched.ops) == 1
     m = metered(np.array([[1.5 - 2.0j, 0.25j, -3.0]]))
     out = run_numpy(sched, m)
-    assert m.op_count() == 3 * OpCount(*charge) == 3 * sched.static_count()
+    assert m.op_count() == 3 * OpCount(*charge) == 3 * sched.static_count
     assert out.tobytes() == run_numpy(sched, np.asarray(m)).tobytes()
 
 
@@ -393,7 +399,7 @@ def test_meter_charges_csd_constants_by_their_digits(c, digits):
     # 0.921875 = 118/128 = 1 - 1/16 - 1/64; the opcode table prices a real
     # constant as 2 mults, the meter prices a dyadic one as its CSD expansion
     sched = compile_stages([np.array([[c]])], 1)
-    assert sched.static_count() == OpCount(2, 0, 0)
+    assert sched.static_count == OpCount(2, 0, 0)
     m = metered(np.ones((1, 4)))
     run_numpy(sched, m)
     k = digits - 1
@@ -426,5 +432,5 @@ def test_meter_counts_the_tiled_form(name, monkeypatch):
     m = metered(x)
     out = run_numpy(sched, m)
     assert calls == [1] and type(out) is Metered
-    assert m.op_count() == width * sched.static_count()
+    assert m.op_count() == width * sched.static_count
     assert out.tobytes() == run_numpy(sched, x).tobytes()
