@@ -341,11 +341,18 @@ def test_executor_form_follows_block_width(monkeypatch):
     assert calls == ["_run_waves", "_run_tiles", "_run_waves", "_run_tiles"]
 
 
+def test_wave_compile_rejects_reads_before_writes():
+    # slot 2 is written, but only after the op that reads it; the waves rename
+    # each read to its latest write, so the schedule is refused when built
+    with pytest.raises(ValueError, match="op 0 overwrites an input or reads an unwritten slot"):
+        Schedule((Op(ADD, 3, 0, 2), Op(ADD, 2, 0, 1)), 2, 1, 4, 4)
+
+
 @pytest.mark.parametrize("op", [Op(ADD, 3, 0, 2), Op(CP, 1, 0, -1, 1.0)],
                          ids=["unwritten-read", "input-write"])
-def test_schedule_rejects_unsafe_ops(op):
-    # both forms rely on it: the waves rename each write, and the tiles read
-    # input rows in place and never zero their slots
+def test_tile_form_rejects_unsafe_schedules(op):
+    # the tile form reads input rows in place and never zeroes its slots, so
+    # such a schedule is refused when built and never reaches run_numpy
     with pytest.raises(ValueError, match="overwrites an input or reads an unwritten slot"):
         Schedule((op,), 2, 1, 3, 4)
 
