@@ -21,15 +21,16 @@ also constant on each block of rows whose leaf indices are zero on the
 same leaves, so phi follows from per-block norms of the leaf Grams
 T_l T_l^H.
 
-Row K of a plan is s_K * prod_l T_l[K u_l mod n_l, m mod n_l], u_l the
-inverse of n / n_l modulo n_l (see ``pfadft.pfa``), and of the DFT the same
-product of the leaf DFTs, so any rows of A - F are built from the leaf
-matrices alone. The response error takes one FFT of such a row per row
+Any rows of A - F are the difference of ``pfadft.pfa.plan_rows`` for the
+plan and for the exact DFT, both built from the leaf matrices alone. Row
+n - K of A - F is the conjugate of row K (each kernel's rows pair by
+conjugation, and the scale is even in K), so only rows 0 .. n // 2 are
+built. Row n - K's half-spectrum energy is the full-circle energy
+2 pi ||d_K||^2 less row K's. The response error takes one FFT per row
 K = 1 .. n // 2 and reads each exact row's peak off the closed-form
-Dirichlet kernel: row n - K of A - F is the conjugate of row K (each
-kernel's rows pair by conjugation, and the scale is even in K), so
-|H_{n-K}(w)| = |H_K(-w)| and the two rows share their maximum over the
-symmetric grid. A plan with no approximate leaf gives ``DB_FLOOR``. The
+Dirichlet kernel: |H_{n-K}(w)| = |H_K(-w)|, so the two rows share their
+maximum over the symmetric grid. A plan with no approximate leaf gives
+``DB_FLOOR``. The
 dense functions of ``pfadft.design`` (``error_energy``, ``mape``,
 ``orth_deviation``) stay the oracle the tests hold these figures to.
 """
@@ -44,13 +45,10 @@ import numpy as np
 
 from .design import ErrorReport
 from .exactdft import dft_matrix
-from .pfa import (ExecutionPlan, assemble_scale, build_index_maps, execute, leaf_matrix, plan,
-                  tree_leaves)
+from .pfa import (ROW_BLOCK, ExecutionPlan, assemble_scale, build_index_maps, execute,
+                  leaf_matrix, plan, plan_rows, tree_leaves)
 
 DB_FLOOR = -300.0
-#: rows of A - F built and transformed at a time, which bounds the memory of
-#: the row tables and the response error
-ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,8 @@ class ResponseCurve:
 def _as_plan(variant, n=None) -> ExecutionPlan:
     if isinstance(variant, ExecutionPlan):
         return variant
+    if n is None:
+        raise ValueError(f"variant {variant!r} needs a transform length n")
     return plan(n, variant)
 
 
@@ -79,10 +79,14 @@ def row_error_energies(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     [0, pi] equals pi*||d||^2 + sum over odd lags u of (4/u) Im C_u with
     C_u the lag-u autocorrelation of d. Even lags integrate to zero.
     """
-    return _half_spectrum_energies(np.asarray(approx) - np.asarray(exact))
+    base, cross = _half_spectrum_terms(np.asarray(approx) - np.asarray(exact))
+    return base + cross
 
 
-def _half_spectrum_energies(D: np.ndarray) -> np.ndarray:
+def _half_spectrum_terms(D: np.ndarray):
+    """The terms pi*||d||^2 and sum over odd lags u of (4/u) Im C_u of each
+    row's half-spectrum energy; the conjugate row's energy is their
+    difference."""
     n = D.shape[1]
     nfft = 1
     while nfft < 2 * n:
@@ -92,51 +96,30 @@ def _half_spectrum_energies(D: np.ndarray) -> np.ndarray:
     odd = np.arange(1, n, 2)
     base = np.pi * np.sum(np.abs(D) ** 2, axis=1)
     cross = corr[:, odd].imag @ (4.0 / odd)
-    return base + cross
+    return base, cross
 
 
 def _difference_blocks(plan_: ExecutionPlan, rows: np.ndarray):
-    """Rows ``rows`` of A - F from the leaf matrices, ``ROW_BLOCK`` at a
-    time, each block a C-contiguous (rows, n) array.
-
-    Entry (K, m) is s_K * prod_l T_l[i_l, k_l] - prod_l F_l[i_l, k_l] with
-    i_l = K u_l mod n_l and k_l = m mod n_l (see the module docstring). An
-    exact leaf has T_l = F_l, so it multiplies the difference of the
-    approximate leaves' products. The products run over the grid columns
-    (k_l) in row-major order; one gather puts them in input order.
-    """
-    leaves = tree_leaves(plan_.tree)
-    lengths = tuple(leaf.n for leaf in leaves)
-    n = plan_.n
-    # per leaf: u_l, its axis as a broadcast shape, T_l (None on an exact leaf), F_l
-    tables = [(pow(n // leaf.n, -1, leaf.n),
-               tuple(leaf.n if a == axis else 1 for a in range(len(leaves))),
-               leaf_matrix(leaf) if leaf.kind == "approx" else None, dft_matrix(leaf.n))
-              for axis, leaf in enumerate(leaves)]
-    scale = assemble_scale(plan_).values()
-    order = np.argsort(build_index_maps(*lengths).forward)
+    """Rows ``rows`` of A - F, ``ROW_BLOCK`` at a time, each block a
+    (rows, n) array built from the leaf matrices."""
     for lo in range(0, len(rows), ROW_BLOCK):
         K = rows[lo:lo + ROW_BLOCK]
-        t_prod, f_prod, exact_legs = 1.0, 1.0, []
-        for u, shape, T, F in tables:
-            i = K * u % F.shape[0]
-            F_i = F[i].reshape(len(K), *shape)
-            if T is None:
-                exact_legs.append(F_i)
-            else:
-                t_prod = t_prod * T[i].reshape(len(K), *shape)
-                f_prod = f_prod * F_i
-        D = t_prod * scale[K].reshape(len(K), *(1,) * len(leaves)) - f_prod
-        for F_i in exact_legs:
-            D = D * F_i
-        yield np.take(D.reshape(len(K), n), order, axis=1)
+        D = plan_rows(plan_, K)
+        D -= plan_rows(plan_, K, exact=True)
+        yield D
 
 
 def row_error_table(variant, n=None):
-    """Per-row half-spectrum error energies of a variant, 0-indexed rows."""
+    """Per-row half-spectrum error energies of a variant, 0-indexed rows.
+
+    Rows 0 .. n // 2 are built; row n - K, the conjugate of row K, takes
+    the full-circle energy less row K's (see the module docstring).
+    """
     p = _as_plan(variant, n)
-    energies = np.concatenate([_half_spectrum_energies(D)
-                               for D in _difference_blocks(p, np.arange(p.n))])
+    terms = [_half_spectrum_terms(D) for D in _difference_blocks(p, np.arange(p.n // 2 + 1))]
+    base, cross = (np.concatenate(t) for t in zip(*terms))
+    mirrored = (base - cross)[1:(p.n + 1) // 2][::-1]
+    energies = np.concatenate([base + cross, mirrored])
     return [RowErrorEnergy(i, float(e)) for i, e in enumerate(energies)]
 
 

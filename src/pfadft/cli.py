@@ -121,22 +121,24 @@ def _cmd_errors(args, out):
 
 def _cmd_freqresp(args, out):
     from .analysis import filter_response, response_error_curve
-    from .exactdft import dft_matrix
-    from .pfa import dense_matrix, plan
+    from .pfa import plan, plan_rows
+    if args.rows == "all":
+        rows = range(args.n)
+    else:
+        rows = [int(r) for r in args.rows.split(",")]
+        bad = [r for r in rows if not 0 <= r < args.n]
+        if bad:
+            raise ValueError(f"row {bad[0]} outside 0..{args.n - 1}")
     p = plan(args.n, args.variant)
-    approx = dense_matrix(p)
-    exact = dft_matrix(args.n)
-    rows = range(args.n) if args.rows == "all" else [int(r) for r in args.rows.split(",")]
-    bad = [r for r in rows if not 0 <= r < args.n]
-    if bad:
-        raise ValueError(f"row {bad[0]} outside 0..{args.n - 1}")
+    approx = plan_rows(p, rows)
+    exact = plan_rows(p, rows, exact=True) if args.error else None
     header = ["row", "omega", "magnitude_db"]
     out_rows = []
-    for r in rows:
+    for i, r in enumerate(rows):
         if args.error:
-            curve = response_error_curve(approx[r], exact[r], args.grid, row_index=r)
+            curve = response_error_curve(approx[i], exact[i], args.grid, row_index=r)
         else:
-            curve = filter_response(approx[r], args.grid, row_index=r)
+            curve = filter_response(approx[i], args.grid, row_index=r)
         out_rows.extend((r, f"{w:.8f}", f"{m:.6f}") for w, m in zip(curve.omega, curve.magnitude_db))
     _emit_table(header, out_rows, args.format, out)
     return 0

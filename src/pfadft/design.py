@@ -9,8 +9,8 @@ Each candidate carries its row-normalizing scale as an ``AssembledScale``,
 the one scale type that composed plans use as well: a plan's radicands come
 from the residue rule in ``pfadft.pfa``, one per output. A scale evaluates
 each distinct radicand or CSD code once, when it is built. ``apply_scale``
-applies it out of place; ``execute`` and ``dense_matrix`` multiply their
-own fresh arrays by ``values()`` in place.
+applies it out of place; ``execute`` and ``pfadft.pfa.plan_rows`` multiply
+their own fresh arrays by ``values()`` in place.
 
 The sweep is deliberately performed in binary64 on a binary64 root-of-unity
 matrix: the reference candidate counts this code reproduces are a property

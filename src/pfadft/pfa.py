@@ -38,8 +38,10 @@ K mod n_leaf = 0. An approximate kernel's scale is
 diag(1, sqrt(eta), ..., sqrt(eta)), so the radicand of output K is the
 product of eta over the approximate leaves whose length does not divide K
 (the residue rule). The leaf order sets the order of the leaf calls; the
-tree shape only sets the association of the Kronecker product in
-``dense_matrix``, which for exact leaves can move the last bit.
+tree shape only sets the association of that product in ``plan_rows``,
+which builds any rows of a plan's matrix (and of the exact DFT) from the
+leaf matrices for ``dense_matrix`` and ``pfadft.analysis``; for exact
+leaves the association can move the last bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ from .exactdft import (FAST_LENGTHS, MAX_DEFINITION_LENGTH, dft_matrix,
                        exact_definition_schedule, exact_fast_schedule)
 from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel, kernel_eta
 from .schedule import OpCount, metered, run_numpy
+
+#: rows of a plan's matrix built at a time by ``dense_matrix`` and the row
+#: tables of ``pfadft.analysis``, which bounds their memory
+ROW_BLOCK = 64
 
 HYBRID_LEGS = {
     "I": frozenset({3}),
@@ -210,8 +216,8 @@ def plan(n: int, variant: str) -> ExecutionPlan:
     ``csd``, and for n = 1023 the hybrids ``hybrid-I-scaled`` ...
     ``hybrid-VI-csd`` in which the listed leg lengths stay exact.
     """
-    if n < 1:
-        raise ValueError("transform length must be positive")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"transform length must be a positive integer, got {n!r}")
     factors = _prime_power_factors(n)
     kinds = {}
     scale_mode = "none"
@@ -356,20 +362,44 @@ def leaf_matrix(leaf: Leaf) -> np.ndarray:
     return kernel(leaf.n) if leaf.kind == "approx" else dft_matrix(leaf.n)
 
 
-def _kron_tree(tree) -> np.ndarray:
-    """Kronecker product of the leaf matrices in the tree's own association."""
-    if isinstance(tree, Leaf):
-        return leaf_matrix(tree)
-    return np.kron(_kron_tree(tree.left), _kron_tree(tree.right))
+def plan_rows(plan_: ExecutionPlan, rows, exact: bool = False) -> np.ndarray:
+    """Rows ``rows`` of the plan's matrix, scale included, as a fresh
+    (len(rows), n) array; with ``exact`` the same rows of the exact DFT.
+
+    Row K is the elementwise product over the leaves of the gathered leaf
+    row M_l[K u_l mod n_l, m mod n_l] (see the module docstring), taken in
+    the tree's own association and then multiplied by the scale s_K. With
+    ``exact`` every leaf contributes its ``dft_matrix`` and no scale.
+    """
+    rows = np.asarray(rows)
+    n = plan_.n
+    cols = np.arange(n)
+
+    def product(t):
+        if isinstance(t, Node):
+            return product(t.left) * product(t.right)
+        M = dft_matrix(t.n) if exact else leaf_matrix(t)
+        return M[rows * pow(n // t.n, -1, t.n) % t.n].take(cols % t.n, axis=1)
+
+    out = product(plan_.tree)
+    if plan_.scale_mode != "none" and not exact:
+        out *= assemble_scale(plan_).values()[rows, None]
+    return out
 
 
 def dense_matrix(plan_: ExecutionPlan) -> np.ndarray:
-    """Full matrix of the plan, scale included (binary64)."""
-    imap = build_index_maps(*(leaf.n for leaf in tree_leaves(plan_.tree)))
-    M = np.empty((plan_.n, plan_.n), dtype=np.complex128)
-    M[np.ix_(imap.inverse, imap.forward)] = _kron_tree(plan_.tree)
-    if plan_.scale_mode != "none":
-        M *= assemble_scale(plan_).values()[:, None]  # M is its own fresh array
+    """Full matrix of the plan, scale included (binary64), built
+    ``ROW_BLOCK`` rows at a time."""
+    rows, M = np.arange(plan_.n), None
+    for lo in range(0, plan_.n, ROW_BLOCK):
+        block = plan_rows(plan_, rows[lo:lo + ROW_BLOCK])
+        # allocated after the first block, so the later blocks' scratch
+        # reuses that block's freed memory instead of splitting a freed n x n
+        # array of an earlier call; in a loop of calls such splits grew the
+        # glibc heap, and the peak RSS, by a whole matrix
+        if M is None:
+            M = np.empty((plan_.n, plan_.n), dtype=block.dtype)
+        M[lo:lo + ROW_BLOCK] = block
     return M
 
 

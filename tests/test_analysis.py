@@ -88,6 +88,12 @@ class TestRowErrorEnergies:
         w = worst_rows("csd", 31, k=4)
         assert all(w[i].energy >= w[i + 1].energy for i in range(3))
 
+    @pytest.mark.parametrize("fn", [row_error_table, worst_rows, response_error_max_db],
+                             ids=lambda fn: fn.__name__)
+    def test_variant_without_length_rejected(self, fn):
+        with pytest.raises(ValueError, match="needs a transform length"):
+            fn("csd")
+
 
 class TestFilterResponse:
     def test_all_ones_row_is_dirichlet(self):

@@ -167,6 +167,18 @@ class TestReports:
         assert len(rows) == 65
         assert max(float(r[2]) for r in rows[1:]) <= -17.0
 
+    def test_freqresp_exact_error_curves_are_the_floor(self, tmp_path):
+        # the plan's rows and the exact rows are the same leaf products, so
+        # an exact variant's error is zero, not rounding noise
+        out = tmp_path / "f.csv"
+        rc = cli_main(["freqresp", "--n", "1023", "--variant", "exact",
+                       "--rows", "1,100,511,1022", "--error", "--format", "csv",
+                       "--output", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert len(rows) == 4 * 4096
+        assert {float(r[2]) for r in rows} == {-300.0}
+
     @pytest.mark.parametrize("row", ["99", "-1"])
     def test_freqresp_row_outside_transform_rejected(self, row, capsys):
         rc = cli_main(["freqresp", "--n", "31", "--variant", "csd",

@@ -228,10 +228,13 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="nests too deeply"):
             plan_from_json(text)
 
-    @pytest.mark.parametrize("n", [0, -3, 3.0, True], ids=["zero", "negative", "float", "bool"])
+    @pytest.mark.parametrize("n", [0, -3, 3.0, True, None, "1023"],
+                             ids=["zero", "negative", "float", "bool", "none", "string"])
     def test_leaf_length_must_be_positive_integer(self, n):
         with pytest.raises(ValueError, match="positive integer"):
             Leaf(n, "exact")
+        with pytest.raises(ValueError, match="positive integer"):
+            plan(n, "csd")
 
 
 _JSON_VALUE = st.recursive(
@@ -462,6 +465,21 @@ class TestVariantExecution:
         assert json.loads(json.dumps(got.as_tuple())) == list(got.as_tuple())
 
 
+def _kron_oracle(p):
+    """The plan's matrix as the Kronecker product of its leaf matrices in
+    the tree's association, scattered by the CRT maps and then scaled."""
+    def kron(t):
+        if isinstance(t, Leaf):
+            return pfa.leaf_matrix(t)
+        return np.kron(kron(t.left), kron(t.right))
+    imap = build_index_maps(*(leaf.n for leaf in tree_leaves(p.tree)))
+    M = np.empty((p.n, p.n), dtype=np.complex128)
+    M[np.ix_(imap.inverse, imap.forward)] = kron(p.tree)
+    if p.scale_mode != "none":
+        M *= assemble_scale(p).values()[:, None]
+    return M
+
+
 @lru_cache(maxsize=1)
 def _csd_plan_and_dense():
     p = plan(1023, "csd")
@@ -482,7 +500,9 @@ def test_impulse_columns_match_dense(k):
 def test_random_trees_match_dense_and_counts(text, seed):
     p = plan_from_json(text)
     x = random_complex(np.random.default_rng(seed), p.n, 3)
-    want = dense_matrix(p) @ x
+    M = dense_matrix(p)
+    assert M.tobytes() == _kron_oracle(p).tobytes()
+    want = M @ x
     got = execute(p, x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
@@ -572,6 +592,19 @@ def test_pass_holds_two_grids_and_one_tile():
     assert peak <= 2 * x.nbytes + tile + x.nbytes // 4
 
 
+def test_dense_matrix_holds_one_n_point_matrix():
+    # the rows are built ROW_BLOCK at a time, with no n x n temporary
+    p = plan(1023, "csd")
+    dense_matrix(p)  # warm the plan, scale and kernel caches
+    tracemalloc.start()
+    try:
+        dense_matrix(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * p.n ** 2 * 16
+
+
 def _ordered_trees(leaves):
     """Every binary tree with the leaves in this order."""
     if len(leaves) == 1:
@@ -595,11 +628,13 @@ def test_tree_shape_invariance(kinds):
     assert len(trees) == 12
     ref = ExecutionPlan(trees[0], "csd")
     M0 = dense_matrix(ref)
+    assert M0.tobytes() == _kron_oracle(ref).tobytes()
     for tree in trees[1:]:
         p = ExecutionPlan(tree, "csd")
         assert count_plan(p) == count_plan(ref)
         assert assemble_scale(p).radicands == assemble_scale(ref).radicands
         M = dense_matrix(p)
+        assert M.tobytes() == _kron_oracle(p).tobytes()
         if all(leaf.kind == "approx" for leaf in leaves):
             assert np.array_equal(M, M0)
         else:
