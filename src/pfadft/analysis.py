@@ -61,7 +61,6 @@ class RowErrorEnergy:
 class ResponseCurve:
     omega: np.ndarray          # uniform grid over [-pi, pi)
     magnitude_db: np.ndarray
-    row_index: int
 
 
 def _as_plan(variant, n=None) -> ExecutionPlan:
@@ -141,7 +140,7 @@ def response_omega(grid_points: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid_points))
 
 
-def filter_response(matrix_row, grid_points: int = 4096, row_index: int = -1) -> ResponseCurve:
+def filter_response(matrix_row, grid_points: int = 4096) -> ResponseCurve:
     """Normalized magnitude response of one matrix row, peak at 0 dB."""
     row = np.asarray(matrix_row, dtype=np.complex128)
     if grid_points < 2 * row.size:
@@ -151,11 +150,10 @@ def filter_response(matrix_row, grid_points: int = 4096, row_index: int = -1) ->
     if peak == 0.0:
         raise ValueError("zero row has no normalizable response")
     db = 20.0 * np.log10(np.maximum(np.abs(H) / peak, 10.0 ** (DB_FLOOR / 20.0)))
-    return ResponseCurve(response_omega(grid_points), db, row_index)
+    return ResponseCurve(response_omega(grid_points), db)
 
 
-def response_error_curve(approx_row, exact_row, grid_points: int = 4096,
-                         row_index: int = -1) -> ResponseCurve:
+def response_error_curve(approx_row, exact_row, grid_points: int = 4096) -> ResponseCurve:
     """20 log10(|H(w) - Hhat(w)| / max_w |H(w)|), floored at -300 dB."""
     a = np.asarray(approx_row, dtype=np.complex128)
     e = np.asarray(exact_row, dtype=np.complex128)
@@ -167,7 +165,7 @@ def response_error_curve(approx_row, exact_row, grid_points: int = 4096,
     if peak == 0.0:
         raise ValueError("zero exact row has no normalizable response")
     ratio = np.maximum(np.abs(Ha - H) / peak, 10.0 ** (DB_FLOOR / 20.0))
-    return ResponseCurve(response_omega(grid_points), 20.0 * np.log10(ratio), row_index)
+    return ResponseCurve(response_omega(grid_points), 20.0 * np.log10(ratio))
 
 
 def _dirichlet_peaks(n: int, grid_points: int) -> np.ndarray:

@@ -59,14 +59,19 @@ def _write_signal(path, data, fmt):
 
 
 def _emit_table(header, rows, fmt, out):
+    """Write an iterable of rows; csv and json write each row as it comes,
+    text lists them all first, since its column widths depend on every row."""
     if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
     elif fmt == "json":
-        json.dump([dict(zip(header, r)) for r in rows], out)
-        out.write("\n")
+        out.write("[")
+        out.writelines((", " if i else "") + json.dumps(dict(zip(header, r)))
+                       for i, r in enumerate(rows))
+        out.write("]\n")
     else:
+        rows = list(rows)
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
                   for i, h in enumerate(header)]
         out.write("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
@@ -130,17 +135,17 @@ def _cmd_freqresp(args, out):
         if bad:
             raise ValueError(f"row {bad[0]} outside 0..{args.n - 1}")
     p = plan(args.n, args.variant)
+    if args.grid < 2 * args.n:  # checked by the curves too, but before any output here
+        raise ValueError("grid must oversample the row at least twice")
     approx = plan_rows(p, rows)
     exact = plan_rows(p, rows, exact=True) if args.error else None
-    header = ["row", "omega", "magnitude_db"]
-    out_rows = []
-    for i, r in enumerate(rows):
-        if args.error:
-            curve = response_error_curve(approx[i], exact[i], args.grid, row_index=r)
-        else:
-            curve = filter_response(approx[i], args.grid, row_index=r)
-        out_rows.extend((r, f"{w:.8f}", f"{m:.6f}") for w, m in zip(curve.omega, curve.magnitude_db))
-    _emit_table(header, out_rows, args.format, out)
+
+    def lines():  # one curve at a time
+        for i, r in enumerate(rows):
+            curve = (response_error_curve(approx[i], exact[i], args.grid) if args.error
+                     else filter_response(approx[i], args.grid))
+            yield from ((r, f"{w:.8f}", f"{m:.6f}") for w, m in zip(curve.omega, curve.magnitude_db))
+    _emit_table(["row", "omega", "magnitude_db"], lines(), args.format, out)
     return 0
 
 

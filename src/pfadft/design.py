@@ -8,9 +8,9 @@ deviation from orthogonality) and the optimizer returns the Pareto set.
 Each candidate carries its row-normalizing scale as an ``AssembledScale``,
 the one scale type that composed plans use as well: a plan's radicands come
 from the residue rule in ``pfadft.pfa``, one per output. A scale evaluates
-each distinct radicand or CSD code once, when it is built. ``apply_scale``
-applies it out of place; ``execute`` and ``pfadft.pfa.plan_rows`` multiply
-their own fresh arrays by ``values()`` in place.
+each distinct radicand or CSD code once, when it is built. ``sweep_alpha``
+scales each candidate's rows by ``values()`` out of place; ``execute`` and
+``pfadft.pfa.plan_rows`` multiply their own fresh arrays by it in place.
 
 The sweep is deliberately performed in binary64 on a binary64 root-of-unity
 matrix: the reference candidate counts this code reproduces are a property
@@ -145,21 +145,6 @@ def _csd_for_radicand(radicand: Fraction) -> CsdCode:
     return csd_encode(float(np.sqrt(float(radicand))))
 
 
-def make_scale(radicands, mode: str) -> AssembledScale:
-    """Attach the requested application mode to exact radicands."""
-    return AssembledScale(tuple(r if isinstance(r, Fraction) else Fraction(r)
-                                for r in radicands), mode)
-
-
-def apply_scale(scale: AssembledScale, x) -> np.ndarray:
-    """Scale entry (or row) i of a spectrum (or matrix) by the scale's value i."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != len(scale):
-        raise ValueError("scale and vector lengths differ")
-    vals = scale.values()
-    return vals[:, None] * x if x.ndim > 1 else vals * x
-
-
 def scale_vector(t: np.ndarray) -> AssembledScale:
     """Row-normalizing scale for a low-complexity matrix, in exact mode.
 
@@ -241,8 +226,9 @@ class CandidateApproximation:
         return self.alpha_lo - 5e-6 <= alpha <= self.alpha_hi + 5e-6
 
 
-def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
-    """Scan the expansion factor and return the distinct valid candidates.
+def sweep_alpha(n: int, step: float = 1e-5):
+    """Scan the expansion factor over ``SWEEP_INTERVAL`` and return the
+    distinct valid candidates.
 
     Contiguous grid points yielding the same quantized matrix coalesce into
     one candidate carrying the closed alpha interval of the run. Runs whose
@@ -255,7 +241,7 @@ def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
         raise ValueError(f"step must be positive and finite, got {step}")
     if n > MAX_DEFINITION_LENGTH:
         raise ValueError(f"sweeps are limited to n <= {MAX_DEFINITION_LENGTH}, got {n}")
-    lo, hi = interval
+    lo, hi = SWEEP_INTERVAL
     count = np.rint((hi - lo) / step)  # an infinite or NaN quotient fails the bound too
     if not count < MAX_SWEEP_POINTS:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_POINTS} grid points")
@@ -283,7 +269,7 @@ def sweep_alpha(n: int, step: float = 1e-5, interval=SWEEP_INTERVAL):
         if not _entries_in_set(T):
             continue
         sc = scale_vector(T)
-        A = apply_scale(sc, T)
+        A = sc.values()[:, None] * T
         rep = ErrorReport(error_energy(A, F), mape(A, F), orth_deviation(A))
         out.append(CandidateApproximation(float(alphas[s0]), float(alphas[s1]), T, sc, rep))
     return out

@@ -81,19 +81,16 @@ def _all_codes(max_nonzero: int, frac_bits: int):
     return tuple(codes)
 
 
-def csd_encode(v: float, max_nonzero: int = 3, frac_bits: int = 7) -> CsdCode:
-    """Best CSD approximation of v with the given digit budget.
+def csd_encode(v: float) -> CsdCode:
+    """Best CSD approximation of v with at most three nonzero digits and
+    seven fractional digits, the budget of the scale constants.
 
     Minimizes |v - value(code)|; ties break toward fewer nonzero digits and
     then toward the smaller absolute value.
     """
     if not (0.0 < v < 2.0):
         raise ValueError(f"csd_encode expects 0 < v < 2, got {v!r}")
-    if max_nonzero < 1:
-        raise ValueError("max_nonzero must be at least 1")
-    if frac_bits > 7:
-        raise ValueError("frac_bits is limited to 7")
-    codes = _all_codes(max_nonzero, frac_bits)
+    codes = _all_codes(3, 7)
     target = Fraction(v) * 128
     # the best code is the nearest one below or the nearest one at or above
     i = bisect_left(codes, target, key=lambda c: c[0])

@@ -1,8 +1,8 @@
 """Exact DFT reference paths.
 
-``dft_direct`` is the literal O(N^2) definition and serves as the oracle for
-every equivalence test in the suite. ``fast_exact`` provides the
-butterfly-factorized exact transforms for lengths 3, 11, and 31: the matrix
+``dft_matrix`` is the literal O(N^2) definition; ``dft_matrix(n) @ x`` is
+the oracle for the equivalence tests in the suite. ``fast_exact`` provides
+the butterfly-factorized exact transforms for lengths 3, 11, and 31: the matrix
 is conjugated into a block-diagonal core (a real cosine block and a pure
 imaginary sine block) by the same +-1 butterfly stage the approximate
 kernels use, which is what removes the redundant arithmetic.
@@ -16,7 +16,9 @@ import numpy as np
 
 from .schedule import Schedule, compile_stages, run_numpy
 
-FAST_LENGTHS = (3, 11, 31)
+#: lengths with a fast factorized transform: the exact transforms here and
+#: the approximate kernels of ``pfadft.kernels``
+KERNEL_LENGTHS = (3, 11, 31)
 
 #: longest transform built from the definition: plan leaves and sweeps stop
 #: here, since a definition schedule compiles n^2 operations (about 4 s and
@@ -30,15 +32,6 @@ def dft_matrix(n: int) -> np.ndarray:
         raise ValueError("transform length must be positive")
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n)
-
-
-def dft_direct(x) -> np.ndarray:
-    """O(N^2) transform straight from the definition."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size == 0:
-        raise ValueError("empty input")
-    n = x.shape[0]
-    return dft_matrix(n) @ x
 
 
 def butterfly_matrix(m: int) -> np.ndarray:
@@ -96,7 +89,7 @@ def derive_core(dense: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def exact_fast_schedule(n: int) -> Schedule:
     """Operation schedule for the factorized exact transform."""
-    if n not in FAST_LENGTHS:
+    if n not in KERNEL_LENGTHS:
         raise ValueError(f"no fast exact factorization for n={n}")
     core = derive_core(dft_matrix(n))
     A = a_stage_matrix(n)
@@ -113,12 +106,16 @@ def exact_definition_schedule(n: int) -> Schedule:
     return compile_stages([dft_matrix(n)], n)
 
 
-def fast_exact(n: int, x) -> np.ndarray:
-    """Factorized exact transform for n in {3, 11, 31}."""
+def _run_leaf(sched: Schedule, x) -> np.ndarray:
+    """Run an n-point leaf schedule on a signal or a batch of column signals."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != n:
-        raise ValueError(f"input length {x.shape[0]} does not match n={n}")
-    sched = exact_fast_schedule(n)
+    if x.shape[0] != sched.n_in:
+        raise ValueError(f"input length {x.shape[0]} does not match n={sched.n_in}")
     if x.ndim == 1:
         return run_numpy(sched, x[:, None])[:, 0]
     return run_numpy(sched, x)
+
+
+def fast_exact(n: int, x) -> np.ndarray:
+    """Factorized exact transform for n in {3, 11, 31}."""
+    return _run_leaf(exact_fast_schedule(n), x)

@@ -18,10 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .design import candidate_matrix, scale_vector
-from .exactdft import a_stage_matrix, derive_core
-from .schedule import OpCount, Schedule, compile_stages, run_numpy
+from .exactdft import KERNEL_LENGTHS, _run_leaf, a_stage_matrix, derive_core
+from .schedule import Schedule, compile_stages
 
-KERNEL_LENGTHS = (3, 11, 31)
 OPTIMAL_ALPHA = 9.0 / 8.0
 
 
@@ -45,10 +44,6 @@ class KernelFactorization:
     a_matrix: np.ndarray      # integer butterfly stage diag(1, B_{n-1})
     core: np.ndarray          # block-diagonal complex core, entries in halves
     schedule: Schedule        # add/shift schedule of [A, C, A^T]
-
-    @property
-    def op_count(self) -> OpCount:
-        return self.schedule.static_count
 
     def dense(self) -> np.ndarray:
         """Exact dense expansion of the factorization (integer arithmetic)."""
@@ -80,11 +75,6 @@ def factorization(n: int) -> KernelFactorization:
     return fact
 
 
-def approx_fast_schedule(n: int) -> Schedule:
-    """Add/shift schedule of the factorized kernel."""
-    return factorization(n).schedule
-
-
 @lru_cache(maxsize=None)
 def approx_dense_schedule(n: int) -> Schedule:
     """Schedule for the unfactorized kernel (dense row sums)."""
@@ -93,13 +83,7 @@ def approx_dense_schedule(n: int) -> Schedule:
 
 def apply_kernel_fast(n: int, x) -> np.ndarray:
     """Multiply by the dense kernel using only additions and shifts."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != n:
-        raise ValueError(f"input length {x.shape[0]} does not match n={n}")
-    sched = approx_fast_schedule(n)
-    if x.ndim == 1:
-        return run_numpy(sched, x[:, None])[:, 0]
-    return run_numpy(sched, x)
+    return _run_leaf(factorization(n).schedule, x)
 
 
 # ---------------------------------------------------------------------------

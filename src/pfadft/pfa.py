@@ -56,10 +56,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import _SCALE_MODES, AssembledScale, make_scale
-from .exactdft import (FAST_LENGTHS, MAX_DEFINITION_LENGTH, dft_matrix,
+from .design import _SCALE_MODES, AssembledScale
+from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, dft_matrix,
                        exact_definition_schedule, exact_fast_schedule)
-from .kernels import KERNEL_LENGTHS, approx_fast_schedule, kernel, kernel_eta
+from .kernels import factorization, kernel, kernel_eta
 from .schedule import OpCount, metered, run_numpy
 
 #: rows of a plan's matrix built at a time by ``dense_matrix`` and the row
@@ -80,7 +80,6 @@ HYBRID_LEGS = {
 class IndexMap:
     """Forward/inverse CRT permutations for one sequence of coprime lengths."""
 
-    lengths: tuple
     forward: np.ndarray   # row-major grid cell c reads x[forward[c]]
     inverse: np.ndarray   # row-major grid cell c lands at X[inverse[c]]
 
@@ -104,7 +103,7 @@ def build_index_maps(*lengths: int) -> IndexMap:
     for perm in (forward, inverse):
         if len(np.unique(perm)) != n:
             raise AssertionError("index map is not a bijection")
-    return IndexMap(lengths, forward, inverse)
+    return IndexMap(forward, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,6 @@ def tree_leaves(t) -> tuple:
 class ExecutionPlan:
     tree: object
     scale_mode: str            # "none" | "exact" | "csd"
-    variant_label: str = ""
 
     def __post_init__(self):
         if self.scale_mode not in _SCALE_MODES:
@@ -170,8 +168,8 @@ class ExecutionPlan:
 
 def leaf_schedule(leaf: Leaf):
     if leaf.kind == "approx":
-        return approx_fast_schedule(leaf.n)
-    if leaf.kind == "definition" or leaf.n not in FAST_LENGTHS:
+        return factorization(leaf.n).schedule
+    if leaf.kind == "definition" or leaf.n not in KERNEL_LENGTHS:
         return exact_definition_schedule(leaf.n)
     return exact_fast_schedule(leaf.n)
 
@@ -242,7 +240,7 @@ def plan(n: int, variant: str) -> ExecutionPlan:
         scale_mode = "exact" if parts[2] == "scaled" else "csd"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return ExecutionPlan(_build_tree(factors, kinds), scale_mode, variant)
+    return ExecutionPlan(_build_tree(factors, kinds), scale_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def _assembled_scale(tree, mode: str) -> AssembledScale:
     mask = sum(((k % m != 0) << j for j, m in enumerate(approx)), np.zeros_like(k))
     radicand = [math.prod((kernel_eta(m) for j, m in enumerate(approx) if bits >> j & 1),
                           start=Fraction(1)) for bits in range(2 ** len(approx))]
-    return make_scale([radicand[bits] for bits in mask.tolist()], mode)
+    return AssembledScale(tuple(radicand[bits] for bits in mask.tolist()), mode)
 
 
 def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
@@ -331,11 +329,6 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError("input contains non-finite values")
     y = _run_tree(plan_.tree, plan_.scale_mode, x)
     return y[:, 0] if single else y
-
-
-def unscaled(plan_: ExecutionPlan, x) -> np.ndarray:
-    """Run the plan's kernel composition without any output scale."""
-    return execute(ExecutionPlan(plan_.tree, "none", plan_.variant_label), x)
 
 
 def instrumented_count(plan_: ExecutionPlan, rng=None) -> OpCount:
@@ -455,7 +448,7 @@ def _plan_from_obj(obj) -> ExecutionPlan:
     unused = set(kinds) - {leaf.n for leaf in tree_leaves(tree)}
     if unused:
         raise ValueError(f"kernel kinds given for lengths the tree does not use: {sorted(unused)}")
-    p = ExecutionPlan(tree, obj.get("scale", "none"), "custom")
+    p = ExecutionPlan(tree, obj.get("scale", "none"))
     if p.n != obj["n"]:
         raise ValueError("tree product disagrees with declared n")
     return p

@@ -222,7 +222,7 @@ def _assert_response_matches_two_fft(*plans):
         if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
             assert got == DB_FLOOR and want <= -200.0  # the formula reads rounding noise
         else:
-            assert abs(got - want) <= 1e-9, p.variant_label
+            assert abs(got - want) <= 1e-9
 
 
 # even n: row n / 2 pairs with itself

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
-from pfadft.design import apply_scale, make_scale
+from pfadft.design import AssembledScale
 from pfadft.dyadic import csd_eval
 from pfadft.kernels import (KERNEL_LENGTHS, apply_kernel_fast,
-                            approx_dense_schedule, approx_fast_schedule,
+                            approx_dense_schedule,
                             factorization, kernel, kernel_eta, kernel_to_json)
 from pfadft.pfa import ExecutionPlan, Leaf, assemble_scale
 
@@ -125,7 +125,7 @@ class TestFactorization:
 
     @pytest.mark.parametrize("n,count", [(3, (0, 12, 2)), (11, (0, 130, 40)), (31, (0, 900, 300))])
     def test_factorized_counts(self, n, count):
-        assert factorization(n).op_count.as_tuple() == count
+        assert factorization(n).schedule.static_count.as_tuple() == count
 
     @pytest.mark.parametrize("n,count", [(3, (0, 20, 8)), (11, (0, 380, 160)), (31, (0, 3180, 1200))])
     def test_dense_schedule_counts(self, n, count):
@@ -185,19 +185,19 @@ class TestKernelScale:
     def test_apply_scale(self, rng):
         x = random_complex(rng, 11)
         sc = ground_scale(11, "exact")
-        got = apply_scale(sc, x)
+        got = sc.values() * x
         assert got[0] == x[0]
         assert np.allclose(got[1:], np.sqrt(11 / 13) * x[1:])
 
     def test_unit_scale_is_identity(self, rng):
         x = random_complex(rng, 4)
-        sc = make_scale([1, 1, 1, 1], "exact")
-        assert np.array_equal(apply_scale(sc, x), x)
+        sc = AssembledScale((Fraction(1),) * 4, "exact")
+        assert np.array_equal(sc.values() * x, x)
         assert sc.op_count().as_tuple() == (0, 0, 0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            make_scale([1, 1], "fancy")
+            AssembledScale((Fraction(1),) * 2, "fancy")
 
 
 def test_kernel_json_export_roundtrip():

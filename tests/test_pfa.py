@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import coprime_plans, random_complex, zero_sign_blocks
 from pfadft.complexity import count_plan
-from pfadft.exactdft import dft_direct, dft_matrix
+from pfadft.exactdft import dft_matrix, fast_exact
+from pfadft.kernels import apply_kernel_fast
 from pfadft import pfa
 from pfadft.cli import cli_main
 from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
                         build_index_maps, dense_matrix, execute,
                         instrumented_count, leaf_schedule, plan, plan_from_json,
-                        plan_to_json, tree_leaves, unscaled)
+                        plan_to_json, tree_leaves)
 from pfadft.schedule import TILE, WAVE_COLUMNS, Metered, metered
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
@@ -86,7 +87,6 @@ class TestIndexMaps:
     def test_forward_cells_carry_crt_coordinates(self, lengths):
         imap = build_index_maps(*lengths)
         n = math.prod(lengths)
-        assert imap.lengths == lengths
         cells = list(itertools.product(*(range(m) for m in lengths)))  # row-major
         for c, cell in enumerate(cells):
             assert [imap.forward[c] % m for m in lengths] == list(cell)
@@ -115,13 +115,13 @@ class TestExactComposition:
     def test_generic_coprime_length_65(self, rng):
         x = random_complex(rng, 65)
         got = execute(plan(65, "exact"), x)
-        want = dft_direct(x)
+        want = dft_matrix(len(x)) @ x
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_definition_variant_matches(self, rng):
         x = random_complex(rng, 33)
         got = execute(plan(33, "exact-definition"), x)
-        assert np.allclose(got, dft_direct(x), atol=1e-10)
+        assert np.allclose(got, dft_matrix(len(x)) @ x, atol=1e-10)
 
 
 class TestPlans:
@@ -398,7 +398,7 @@ class TestVariantExecution:
     def test_scaled_equals_scale_times_unscaled(self, variant, rng):
         p = plan(1023, variant)
         x = random_complex(rng, 1023)
-        xt = unscaled(p, x)
+        xt = execute(ExecutionPlan(p.tree, "none"), x)
         xs = execute(p, x)
         vals = assemble_scale(p).values()
         if p.scale_mode == "none":
@@ -463,6 +463,22 @@ class TestVariantExecution:
         # 3 calls of the 11-point kernel, 11 of the 3-point, plus 32 scaled bins
         assert got.as_tuple() == (0, 3 * 130 + 11 * 12 + 32 * 4, 3 * 40 + 11 * 2 + 32 * 4)
         assert json.loads(json.dumps(got.as_tuple())) == list(got.as_tuple())
+
+
+class TestLeafWrappers:
+    """The one-leaf transforms are ``execute`` on a one-leaf plan, byte for
+    byte and shape for shape."""
+
+    @pytest.mark.parametrize("width", [None, 1, 7, 5000])
+    @pytest.mark.parametrize("n", [3, 11, 31])
+    @pytest.mark.parametrize("wrapper,variant", [(apply_kernel_fast, "unscaled"),
+                                                 (fast_exact, "exact")])
+    def test_wrapper_is_execute_on_one_leaf(self, wrapper, variant, n, width, rng):
+        z = rng.standard_normal((n, width or 1)) + 1j * rng.standard_normal((n, width or 1))
+        x = z[:, 0] if width is None else z
+        got, want = wrapper(n, x), execute(plan(n, variant), x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _kron_oracle(p):

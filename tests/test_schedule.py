@@ -6,7 +6,7 @@ import pytest
 
 from conftest import zero_sign_blocks
 from pfadft import schedule
-from pfadft.design import make_scale
+from pfadft.design import AssembledScale
 from pfadft.dyadic import _all_codes
 from pfadft.exactdft import a_stage_matrix, derive_core, dft_matrix
 from pfadft.kernels import factorization
@@ -80,13 +80,15 @@ def test_counting_executor_matches_static(rng):
 
 def test_scale_schedule_costs():
     # sqrt(6/7) has the 3-digit code 119/128 = 1 - 1/16 - 1/128
-    assert make_scale([1, 0.81, 0.81], "exact").op_count() == OpCount(4, 0, 0)
-    csd = make_scale([1, Fraction(6, 7), Fraction(6, 7)], "csd")
+    eta = Fraction(6, 7)
+    assert (AssembledScale((Fraction(1), Fraction(81, 100), Fraction(81, 100)), "exact")
+            .op_count() == OpCount(4, 0, 0))
+    csd = AssembledScale((Fraction(1), eta, eta), "csd")
     assert csd.values().tolist() == [1.0, 119 / 128, 119 / 128]
     assert csd.op_count() == OpCount(0, 8, 8)
-    assert make_scale([1, 1], "csd").op_count() == OpCount()
+    assert AssembledScale((Fraction(1),) * 2, "csd").op_count() == OpCount()
     # the meter charges the in-place scale by its values what the scale folds
-    for sc in (csd, make_scale([1, Fraction(6, 7), Fraction(6, 7)], "exact")):
+    for sc in (csd, AssembledScale((Fraction(1), eta, eta), "exact")):
         m = metered(np.ones((3, 2)))
         m *= sc.values()[:, None]
         assert m.op_count() == 2 * sc.op_count()
