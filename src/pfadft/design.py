@@ -113,8 +113,10 @@ class AssembledScale:
         if self.mode == "none":
             vals = np.ones(len(self.radicands))
         else:
+            objs = {id(r): r for r in self.radicands}  # a plan shares a few objects
             slot = {}  # distinct radicand -> its position among the distinct ones
-            index = [slot.setdefault(r, len(slot)) for r in self.radicands]
+            pos = {i: slot.setdefault(r, len(slot)) for i, r in objs.items()}
+            index = [pos[id(r)] for r in self.radicands]
             if self.mode == "exact":
                 distinct = [np.sqrt(float(r)) for r in slot]
                 extra = [int(v != 1.0) for v in distinct]

@@ -1,17 +1,16 @@
 """The kernel multiplier set and canonical signed-digit (CSD) encoding.
 
 Everything here is exact: a CSD code with at most 7 fractional digits is an
-integer m over 128, the codes are searched by m, and a code evaluates to a
-Fraction. Binary64 is only used on analysis paths, never to define a kernel
-entry.
+integer m over 128 in non-adjacent form, the codes are searched by m, and a
+code evaluates to a Fraction. Binary64 is only used on analysis paths, never
+to define a kernel entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 # Multiplier set for kernel-grade entries: {-1, -1/2, 0, 1/2, 1}.
@@ -62,7 +61,6 @@ def csd_eval(code: CsdCode) -> Fraction:
     return Fraction(m, 2 ** (len(code.digits) - 1))
 
 
-@lru_cache(maxsize=None)
 def _all_codes(max_nonzero: int, frac_bits: int):
     """Every code of the budget as (128 * value, digit count, code), sorted.
 
@@ -86,13 +84,22 @@ def csd_encode(v: float) -> CsdCode:
     seven fractional digits, the budget of the scale constants.
 
     Minimizes |v - value(code)|; ties break toward fewer nonzero digits and
-    then toward the smaller absolute value.
+    then toward the smaller absolute value. So it is the nearest code at or
+    above v or below it, found by walking m from 128 v up or down to the first
+    m whose non-adjacent form (the code of m / 128) has at most 8 digits and
+    3 nonzeros; none lies above 1.3125, and 0 is one.
     """
     if not (0.0 < v < 2.0):
         raise ValueError(f"csd_encode expects 0 < v < 2, got {v!r}")
-    codes = _all_codes(3, 7)
     target = Fraction(v) * 128
-    # the best code is the nearest one below or the nearest one at or above
-    i = bisect_left(codes, target, key=lambda c: c[0])
-    near = codes[max(i - 1, 0): i + 1]
-    return min(near, key=lambda c: (abs(c[0] - target), c[1], abs(c[0])))[2]
+
+    def nearest(ms):
+        # NAF digit i sits where bits i + 1 of 3m and m differ (Reitwiesner)
+        for m in ms:
+            digits = tuple((3 * m >> i & 1) - (m >> i & 1) for i in range(8, 0, -1))
+            if 3 * m ^ m < 512 and sum(map(abs, digits)) <= 3:
+                return m, digits
+
+    k = math.ceil(target)
+    near = [c for c in (nearest(range(k, 256)), nearest(range(k - 1, -1, -1))) if c]
+    return CsdCode(min(near, key=lambda c: (abs(c[0] - target), sum(map(abs, c[1])), c[0]))[1])

@@ -101,7 +101,7 @@ def build_index_maps(*lengths: int) -> IndexMap:
     forward = np.tensordot(idempotents, cells, 1) % n
     inverse = np.tensordot(strides, cells, 1) % n
     for perm in (forward, inverse):
-        if len(np.unique(perm)) != n:
+        if not np.all(np.bincount(perm, minlength=n) == 1):
             raise AssertionError("index map is not a bijection")
     return IndexMap(forward, inverse)
 

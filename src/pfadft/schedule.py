@@ -31,9 +31,11 @@ kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
 at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
 and 0.30 against 0.29 ms), and the 3-point kernel ties throughout. So
 blocks of at most ``WAVE_COLUMNS`` (512) columns run as waves, unless the
-wave rows would outgrow one tile's slot array; that bound keeps memory
-bounded for long by-definition leaves. Every element goes through the same
-IEEE operations in both forms, so their outputs are bit-identical.
+wave slot array would exceed 2**19 elements (8 MiB): the 1861 rows of the
+31-point by-definition leaf take 8.7 against 9.5 ms at 256 columns and 12.4
+against 9.9 ms at 384 (best of 25), so it runs as waves up to 281 columns.
+Every element goes through the same IEEE operations in both forms, so their
+outputs are bit-identical.
 
 Cost conventions (used repo-wide):
   * multiplications by 0 or +-1 or +-j are free,
@@ -183,11 +185,8 @@ def compile_stages(stages, n: int) -> Schedule:
         out_base = n_slots
         n_slots += rows
         for r in range(rows):
-            terms = []
-            for j in range(cols):
-                cls = _classify(M[r, j])
-                if cls is not None:
-                    terms.append((j, cls))
+            cols_nz = np.flatnonzero(M[r])  # only the nonzero terms, left to right
+            terms = [(j, _classify(z)) for j, z in zip(cols_nz.tolist(), M[r, cols_nz].tolist())]
             if not terms:
                 raise ValueError("schedule compiler does not support all-zero rows")
             dst = out_base + r
@@ -366,6 +365,8 @@ _OPCODES = {
 
 #: widest block that runs as compiled waves; see the module docstring
 WAVE_COLUMNS = 512
+#: most elements (rows times columns) of a wave slot array; see the module docstring
+_WAVE_ELEMENTS = 2 ** 19
 #: columns per tile when a wider block runs op by op
 TILE = 4096
 
@@ -468,8 +469,8 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
     """Vectorized executor over an (n_in, batch) or (n_in, rows, B) block.
 
     Blocks of at most ``WAVE_COLUMNS`` columns run as the schedule's
-    compiled waves, unless the wave slot array would outgrow one tile of
-    the op-by-op form; other blocks run op by op over ``TILE``-column tiles.
+    compiled waves, unless their slot array would exceed ``_WAVE_ELEMENTS``;
+    other blocks run op by op over ``TILE``-column tiles.
     A ``Metered`` block stays metered through either form.
 
     Without ``write`` the outputs come back as a fresh (n_out, ...) array.
@@ -489,7 +490,7 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
 
         def write(r, b, y):
             o3[:, r, b] = y
-    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= sched.n_slots * TILE:
+    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= _WAVE_ELEMENTS:
         y = _run_waves(sched.waves, x3.reshape(n_in, -1))
         write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
     else:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pfadft.complexity import COMPOSED_VARIANTS
 from pfadft.design import quantize_half
 from pfadft.dyadic import CsdCode, _all_codes, csd_encode, csd_eval
+from pfadft.pfa import assemble_scale, plan
 
 
 class TestRoundToHalf:
@@ -121,11 +123,23 @@ class TestCsd:
                  if sum(map(abs, d)) <= max_nonzero
                  and all(a == 0 or b == 0 for a, b in zip(d, d[1:]))]
         rng = random.Random(max_nonzero * 10 + frac_bits)
+        # every radicand of the scaled 1023-point variants, 1 included
+        radicands = {r for v, _ in COMPOSED_VARIANTS if plan(1023, v).scale_mode != "none"
+                     for r in assemble_scale(plan(1023, v)).radicands}
+        assert len(radicands) == 8
         values = ([rng.uniform(1e-6, 1.999999) for _ in range(12)]
                   + [math.sqrt(a / b) for b in (7, 9, 13) for a in range(1, b + 1, 2)]
-                  + [k / 256 for k in (1, 3, 183, 255, 257, 471)])  # midpoints of 1/128 steps
+                  + [k / 128 for k in range(1, 256)]  # every 1/128 step
+                  + [k / 256 for k in range(1, 512, 2)]  # the midpoints between steps
+                  # above the largest code, 1.3125, the search finds none higher
+                  + [1.3125 + 2.0 ** -40, 1.32, 1.33, 1.375, 1.5, 1.75, 1.99,
+                     math.nextafter(2.0, 0.0)]
+                  + [5e-324, 1e-300, 1e-9, 2.0 ** -9, math.nextafter(2.0 ** -8, 0.0),
+                     math.nextafter(2.0 ** -8, 1.0), 0.005]  # near 0
+                  + [math.sqrt(r) for r in radicands])
+        exact = [(csd_eval(c), c) for c in codes]
         for v in values:
             target = Fraction(v)
-            want = min(codes, key=lambda c: (abs(csd_eval(c) - target), c.nonzero_count,
-                                             abs(csd_eval(c))))
+            want = min(exact, key=lambda e: (abs(e[0] - target), e[1].nonzero_count,
+                                             abs(e[0])))[1]
             assert csd_encode(v) == want, v

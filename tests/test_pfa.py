@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -619,6 +622,28 @@ def test_dense_matrix_holds_one_n_point_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * p.n ** 2 * 16
+
+
+#: plans and a first execute after import load no numpy module (numpy.ma,
+#: for one, costs 10-18 ms); the snapshot keeps numpy's own eager imports
+_COLD_PATH = """
+import sys
+import numpy as np
+x = np.arange(1023) + 0j
+import pfadft
+before = set(sys.modules)
+for v in ("csd", "hybrid-VI-csd", "scaled", "unscaled", "exact", "exact-definition"):
+    pfadft.execute(pfadft.plan(1023, v), x)
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_cold_path_loads_no_numpy_module():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pfa.__file__)))
+    run = subprocess.run([sys.executable, "-c", _COLD_PATH], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def _ordered_trees(leaves):

@@ -9,7 +9,7 @@ from pfadft import schedule
 from pfadft.design import AssembledScale
 from pfadft.dyadic import _all_codes
 from pfadft.exactdft import a_stage_matrix, derive_core, dft_matrix
-from pfadft.kernels import factorization
+from pfadft.kernels import approx_dense_schedule, factorization, kernel
 from pfadft.pfa import Leaf, leaf_schedule
 from pfadft.schedule import (ADD, CP, MUL, MULCC, SUB, TILE, WAVE_COLUMNS, Metered, Op,
                              OpCount, Schedule, _classify, _naf_weight, _np_mulcc,
@@ -307,6 +307,79 @@ def test_negations_fold_into_their_consumers():
         assert _tiled(sched, x[:, None, :]).tobytes() == want, kind
 
 
+def _per_entry_compile(stages, n):
+    """``compile_stages`` with every entry of every stage classified one by
+    one, zeros included, by a scalar loop over its row."""
+    ops, alias, base, width, scratch, n_slots = [], {}, 0, n, n, n + 1
+    for s, M in enumerate(stages):
+        M = np.asarray(M)
+        rows, cols = M.shape
+        out_base = n_slots
+        n_slots += rows
+        for r in range(rows):
+            terms = []
+            for j in range(cols):
+                cls = _classify(M[r, j])
+                if cls is not None:
+                    terms.append((j, cls))
+            dst = out_base + r
+            for k, (j, (code, c)) in enumerate(terms):
+                src, sign = alias.get(base + j, (base + j, 1.0))
+                if code == CP:
+                    sign *= c
+                else:
+                    term = dst if k == 0 else scratch
+                    ops.append(Op(code, term, src, -1, -c if sign < 0 else c))
+                    src, sign = term, 1.0
+                if k == 0:
+                    if code == CP:
+                        alias[dst] = (src, sign)
+                    continue
+                acc, acc_sign = alias.pop(dst, (dst, 1.0))
+                if acc_sign < 0 and sign < 0:
+                    ops.append(Op(CP, dst, acc, -1, -1.0))
+                    acc, acc_sign = dst, 1.0
+                if acc_sign > 0:
+                    ops.append(Op(ADD if sign > 0 else SUB, dst, acc, src))
+                else:
+                    ops.append(Op(SUB, dst, src, acc))
+            if s == len(stages) - 1 and dst in alias:
+                src, sign = alias.pop(dst)
+                ops.append(Op(CP, dst, src, -1, sign))
+        base = out_base
+        width = rows
+    return Schedule(tuple(ops), n, width, base, n_slots)
+
+
+def _op_stream(sched):
+    """Each op as (code, dst, src1, src2, constant bytes), zero signs included."""
+    return [(op.code, op.dst, op.src1, op.src2, np.complex128(op.c).tobytes())
+            for op in sched.ops]
+
+
+#: the stage matrices of every leaf schedule and dense approximate kernel
+COMPILED_STAGES = {**{name: (lambda name=name: _stages(name)) for name in SCHEDULES},
+                   **{f"{n}-dense": (lambda n=n: [kernel(n)]) for n in (3, 11, 31)},
+                   "random": lambda: _random_stages(None),
+                   "negations": lambda: [np.diag([-1, -1, 1]), np.array([
+                       [1, 1, 0], [1, -1, 0], [-1, 0, 1], [0, 1, 1], [0, 0, -1],
+                       [0.5, 1, 0], [0, -0.5j, 0], [0.8 - 0.6j, 0, 0]])]}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_STAGES))
+def test_compiler_emits_the_per_entry_ops(name):
+    stages = COMPILED_STAGES[name]()
+    n = np.asarray(stages[0]).shape[1]
+    sched, want = compile_stages(stages, n), _per_entry_compile(stages, n)
+    assert _op_stream(sched) == _op_stream(want)
+    assert ((sched.n_in, sched.n_out, sched.out_base, sched.n_slots)
+            == (want.n_in, want.n_out, want.out_base, want.n_slots))
+    if name in SCHEDULES:
+        assert _op_stream(SCHEDULES[name]()) == _op_stream(want)
+    elif name.endswith("-dense"):
+        assert _op_stream(approx_dense_schedule(n)) == _op_stream(want)
+
+
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_compiled_waves_cover_ops_in_dependency_order(name):
     sched = SCHEDULES[name]()
@@ -337,10 +410,19 @@ def test_executor_form_follows_block_width(monkeypatch):
     approx3 = leaf_schedule(Leaf(3, "approx"))
     definition31 = leaf_schedule(Leaf(31, "definition"))
     for sched, width in ((approx3, WAVE_COLUMNS), (approx3, WAVE_COLUMNS + 1),
-                         (definition31, 33), (definition31, WAVE_COLUMNS)):
+                         (definition31, 33), (definition31, 256),
+                         (definition31, WAVE_COLUMNS)):
         run_numpy(sched, np.ones((sched.n_in, width), dtype=np.complex128))
-    # a wave slot array never outgrows one tile of the op-by-op form
-    assert calls == ["_run_waves", "_run_tiles", "_run_waves", "_run_tiles"]
+    # the 1861 wave rows of the 31-point definition leaf run as waves up to
+    # the measured crossover, about 281 columns, and as tiles beyond it
+    assert calls == ["_run_waves", "_run_tiles", "_run_waves", "_run_waves", "_run_tiles"]
+    # a 512-point definition leaf has 523 265 wave rows: at 8 columns its
+    # wave slot array would hold 67 MB, so it runs as tiles (compiled
+    # uncached here, and not run: tiles at 8 columns take seconds)
+    definition512 = compile_stages([dft_matrix(512)], 512)
+    monkeypatch.setattr(schedule, "_run_tiles", lambda *a: calls.append("_run_tiles"))
+    run_numpy(definition512, np.ones((512, 8), dtype=np.complex128))
+    assert calls[-1] == "_run_tiles" and len(calls) == 6
 
 
 def test_wave_compile_rejects_reads_before_writes():

@@ -11,7 +11,10 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 ``count_plan``/``instrumented_count`` triples. ``execute`` also runs at
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
-every zero in the output. Arrays above 4096 entries are stored as the
+every zero in the output. It also saves the op stream of the 12 compiled
+schedules, the 3-, 11- and 31-point approximate, exact and definition
+leaves and dense approximate kernels: each op's code, dst, src1 and src2,
+and its constant's bytes. Arrays above 4096 entries are stored as the
 SHA-256 of their bytes. ``compare`` exits 1 on any missing item or bit
 difference.
 """
@@ -48,6 +51,13 @@ def plans(pfadft):
         leaves = [Leaf(m, kind) for m, kind in kinds.items()]
         for t, tree in enumerate(t for p in itertools.permutations(leaves) for t in trees(p)):
             yield f"tree{s}.{t}", pfadft.ExecutionPlan(tree, "csd")
+
+
+def schedules(pfadft):
+    for n, kind in itertools.product((3, 11, 31), ("approx", "exact", "definition")):
+        yield f"{n}-{kind}", pfadft.pfa.leaf_schedule(pfadft.pfa.Leaf(n, kind))
+    for n in (3, 11, 31):
+        yield f"{n}-dense", pfadft.kernels.approx_dense_schedule(n)
 
 
 def complex_parts(re, im):
@@ -91,6 +101,10 @@ def dump(src_root, out):
             put(f"{name}/scale", pfadft.assemble_scale(p).values())
         put(f"{name}/count", np.array(pfadft.count_plan(p).as_tuple()))
         put(f"{name}/instrumented", np.array(pfadft.instrumented_count(p).as_tuple()))
+    for name, sched in schedules(pfadft):
+        put(f"schedule/{name}/ops", np.array(
+            [(op.code, op.dst, op.src1, op.src2) for op in sched.ops], dtype=np.int64))
+        put(f"schedule/{name}/constants", np.array([op.c for op in sched.ops], np.complex128))
     np.savez(out, **items)
     print(f"{len(items)} items written to {out}")
 
