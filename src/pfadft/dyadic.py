@@ -83,11 +83,10 @@ def csd_encode(v: float) -> CsdCode:
     """Best CSD approximation of v with at most three nonzero digits and
     seven fractional digits, the budget of the scale constants.
 
-    Minimizes |v - value(code)|; ties break toward fewer nonzero digits and
-    then toward the smaller absolute value. So it is the nearest code at or
-    above v or below it, found by walking m from 128 v up or down to the first
-    m whose non-adjacent form (the code of m / 128) has at most 8 digits and
-    3 nonzeros; none lies above 1.3125, and 0 is one.
+    Minimizes |v - value(code)| over the first m at or above 128 v and the
+    first below it whose non-adjacent form (the code of m / 128) has at most
+    8 digits and 3 nonzeros (none lies above 1.3125, and 0 is one); ties
+    break toward fewer nonzero digits and then the smaller absolute value.
     """
     if not (0.0 < v < 2.0):
         raise ValueError(f"csd_encode expects 0 < v < 2, got {v!r}")

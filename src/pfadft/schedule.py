@@ -31,9 +31,9 @@ kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
 at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
 and 0.30 against 0.29 ms), and the 3-point kernel ties throughout. So
 blocks of at most ``WAVE_COLUMNS`` (512) columns run as waves, unless the
-wave slot array would exceed 2**19 elements (8 MiB): the 1861 rows of the
-31-point by-definition leaf take 8.7 against 9.5 ms at 256 columns and 12.4
-against 9.9 ms at 384 (best of 25), so it runs as waves up to 281 columns.
+wave slot array would outgrow both one tile's and 2**19 elements (8 MiB):
+the 1861 rows of the 31-point by-definition leaf take 8.7 against 9.5 ms at
+256 columns and 12.4 against 9.9 at 384 (best of 25): waves up to 281 columns.
 Every element goes through the same IEEE operations in both forms, so their
 outputs are bit-identical.
 
@@ -469,8 +469,8 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
     """Vectorized executor over an (n_in, batch) or (n_in, rows, B) block.
 
     Blocks of at most ``WAVE_COLUMNS`` columns run as the schedule's
-    compiled waves, unless their slot array would exceed ``_WAVE_ELEMENTS``;
-    other blocks run op by op over ``TILE``-column tiles.
+    compiled waves, unless their slot array would exceed both one tile's
+    and ``_WAVE_ELEMENTS``; other blocks run op by op over tiles.
     A ``Metered`` block stays metered through either form.
 
     Without ``write`` the outputs come back as a fresh (n_out, ...) array.
@@ -490,7 +490,8 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
 
         def write(r, b, y):
             o3[:, r, b] = y
-    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= _WAVE_ELEMENTS:
+    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= max(
+            sched.n_slots * TILE, _WAVE_ELEMENTS):
         y = _run_waves(sched.waves, x3.reshape(n_in, -1))
         write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
     else:

@@ -639,7 +639,9 @@ print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
 
 
 def test_cold_path_loads_no_numpy_module():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pfa.__file__)))
+    src = os.path.dirname(os.path.dirname(pfa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _COLD_PATH], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr

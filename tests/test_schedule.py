@@ -416,13 +416,18 @@ def test_executor_form_follows_block_width(monkeypatch):
     # the 1861 wave rows of the 31-point definition leaf run as waves up to
     # the measured crossover, about 281 columns, and as tiles beyond it
     assert calls == ["_run_waves", "_run_tiles", "_run_waves", "_run_waves", "_run_tiles"]
-    # a 512-point definition leaf has 523 265 wave rows: at 8 columns its
-    # wave slot array would hold 67 MB, so it runs as tiles (compiled
-    # uncached here, and not run: tiles at 8 columns take seconds)
+    # a 512-point definition leaf has 523 265 wave rows, each op a numpy call
+    # per tile: its waves stay as wide as one tile's slot array, 8 columns,
+    # where they take 0.14 s against 3.2 s as tiles (compiled uncached here,
+    # and neither form run nor its waves compiled: the choice reads op counts)
     definition512 = compile_stages([dft_matrix(512)], 512)
+    definition512.__dict__["waves"] = None
+    monkeypatch.setattr(schedule, "_run_waves", lambda waves, x: (
+        calls.append("_run_waves"), np.zeros_like(x))[1])
     monkeypatch.setattr(schedule, "_run_tiles", lambda *a: calls.append("_run_tiles"))
-    run_numpy(definition512, np.ones((512, 8), dtype=np.complex128))
-    assert calls[-1] == "_run_tiles" and len(calls) == 6
+    for width in (8, 9):
+        run_numpy(definition512, np.ones((512, width), dtype=np.complex128))
+    assert calls[5:] == ["_run_waves", "_run_tiles"]
 
 
 def test_wave_compile_rejects_reads_before_writes():
