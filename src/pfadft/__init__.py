@@ -11,10 +11,10 @@ from .complexity import complexity_report, count_plan
 from .design import (alpha_interval, candidate_matrix, error_energy, mape,
                      orth_deviation, scale_vector, select_optimal, sweep_alpha)
 from .dyadic import CsdCode, csd_encode, csd_eval
-from .exactdft import dft_matrix, fast_exact
-from .kernels import apply_kernel_fast, factorization, kernel, kernel_to_json
-from .pfa import (ExecutionPlan, assemble_scale, build_index_maps,
-                  dense_matrix, execute, instrumented_count, plan,
+from .exactdft import dft_matrix
+from .kernels import factorization, kernel, kernel_to_json
+from .pfa import (ExecutionPlan, apply_kernel_fast, assemble_scale, build_index_maps,
+                  dense_matrix, execute, fast_exact, instrumented_count, plan,
                   plan_from_json, plan_to_json)
 from .schedule import OpCount
 

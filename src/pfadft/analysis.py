@@ -44,7 +44,7 @@ from functools import reduce
 import numpy as np
 
 from .design import ErrorReport
-from .exactdft import dft_matrix
+from .exactdft import _is_integer, dft_matrix
 from .pfa import (ROW_BLOCK, ExecutionPlan, assemble_scale, build_index_maps, execute,
                   leaf_matrix, plan, plan_rows, tree_leaves)
 
@@ -185,7 +185,7 @@ def _dirichlet_peaks(n: int, grid_points: int) -> np.ndarray:
     return np.where(u == 0, float(n), peaks)
 
 
-def response_error_max_db(variant, n=None, grid_points=None) -> float:
+def response_error_max_db(variant, n=None) -> float:
     """Worst response-error level over all non-DC rows of a variant.
 
     By linearity H - Hhat is one FFT of the row difference, taken for rows
@@ -193,7 +193,7 @@ def response_error_max_db(variant, n=None, grid_points=None) -> float:
     |H| comes from the closed form (see the module docstring).
     """
     p = _as_plan(variant, n)
-    grid = grid_points or (8192 if p.n > 64 else 4096)
+    grid = 8192 if p.n > 64 else 4096
     if grid < 2 * p.n:
         raise ValueError("grid must oversample the row at least twice")
     if all(leaf.kind != "approx" for leaf in tree_leaves(p.tree)):
@@ -303,8 +303,8 @@ def cosine_probe(n: int, bin_index: int, variant) -> CosineProbe:
     Reports the two dominant lobes (the bin and its mirror) and the largest
     magnitude anywhere else, the leakage statistic.
     """
-    if not (0 < bin_index < n / 2):
-        raise ValueError("bin must lie strictly inside (0, n/2)")
+    if not (_is_integer(bin_index) and 0 < bin_index < n / 2):
+        raise ValueError(f"bin must be an integer strictly inside (0, n/2), got {bin_index!r}")
     p = _as_plan(variant, n)
     x = np.cos(2.0 * np.pi * bin_index * np.arange(n) / n)
     mag = np.abs(execute(p, x))

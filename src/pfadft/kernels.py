@@ -3,9 +3,10 @@
 The 3-, 11-, and 31-point kernels are the quantized matrices at expansion
 factor 9/8. Each factors exactly as A^T C A with A = diag(1, B_{n-1}) and C
 block-diagonal over the multiplier set; the core comes from the same
-conjugation that factors the exact transforms, is validated in integer
-arithmetic against the dense kernel, and is compiled into an add/shift
-schedule that both executes the transform and yields its operation count.
+conjugation that factors the exact transforms and is validated in integer
+arithmetic against the dense kernel. ``pfadft.pfa.leaf_schedule`` compiles
+[A, C, A^T] into the add/shift schedule that both executes the transform
+and yields its operation count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import candidate_matrix, scale_vector
-from .exactdft import KERNEL_LENGTHS, _run_leaf, a_stage_matrix, derive_core
+from .exactdft import KERNEL_LENGTHS, a_stage_matrix, derive_core
 from .schedule import Schedule, compile_stages
 
 OPTIMAL_ALPHA = 9.0 / 8.0
@@ -38,12 +39,11 @@ def kernel(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelFactorization:
-    """A^T C A decomposition of a dense kernel, with its compiled schedule."""
+    """A^T C A decomposition of a dense kernel."""
 
     n: int
     a_matrix: np.ndarray      # integer butterfly stage diag(1, B_{n-1})
     core: np.ndarray          # block-diagonal complex core, entries in halves
-    schedule: Schedule        # add/shift schedule of [A, C, A^T]
 
     def dense(self) -> np.ndarray:
         """Exact dense expansion of the factorization (integer arithmetic)."""
@@ -69,7 +69,7 @@ def factorization(n: int) -> KernelFactorization:
     vals = set(np.abs(core.real).ravel()) | set(np.abs(core.imag).ravel())
     if not vals <= {0.0, 0.5, 1.0}:
         raise ValueError(f"core entries leave the multiplier set: {sorted(vals)}")
-    fact = KernelFactorization(n, A, core, compile_stages([A, core, A.T], n))
+    fact = KernelFactorization(n, A, core)
     if np.abs(fact.dense() - T).max() != 0.0:
         raise ValueError("factorization does not reproduce the dense kernel")
     return fact
@@ -79,11 +79,6 @@ def factorization(n: int) -> KernelFactorization:
 def approx_dense_schedule(n: int) -> Schedule:
     """Schedule for the unfactorized kernel (dense row sums)."""
     return compile_stages([kernel(n)], n)
-
-
-def apply_kernel_fast(n: int, x) -> np.ndarray:
-    """Multiply by the dense kernel using only additions and shifts."""
-    return _run_leaf(factorization(n).schedule, x)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,10 +56,10 @@ from functools import lru_cache
 import numpy as np
 
 from .design import _SCALE_MODES, AssembledScale
-from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, dft_matrix,
-                       exact_definition_schedule, exact_fast_schedule)
+from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, _is_integer, a_stage_matrix,
+                       derive_core, dft_matrix)
 from .kernels import factorization, kernel, kernel_eta
-from .schedule import OpCount, metered, run_numpy
+from .schedule import OpCount, Schedule, compile_stages, metered, run_numpy
 
 #: rows of a plan's matrix built at a time by ``dense_matrix`` and the row
 #: tables of ``pfadft.analysis``, which bounds their memory
@@ -92,6 +91,8 @@ def build_index_maps(*lengths: int) -> IndexMap:
     e_l = (n / n_l) * ((n / n_l)^-1 mod n_l) is 1 modulo n_l and 0 modulo
     the other lengths, and lands at output sum_l i_l * (n / n_l) mod n.
     """
+    if not lengths or not all(_is_integer(m) and m >= 1 for m in lengths):
+        raise ValueError(f"lengths must be one or more positive integers, got {lengths}")
     if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(lengths, 2)):
         raise ValueError(f"lengths {lengths} are not pairwise coprime")
     n = math.prod(lengths)
@@ -139,10 +140,6 @@ class Node:
             raise ValueError("node factors must be coprime")
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def tree_length(t) -> int:
     return t.n if isinstance(t, Leaf) else tree_length(t.left) * tree_length(t.right)
 
@@ -164,14 +161,6 @@ class ExecutionPlan:
     @property
     def n(self) -> int:
         return tree_length(self.tree)
-
-
-def leaf_schedule(leaf: Leaf):
-    if leaf.kind == "approx":
-        return factorization(leaf.n).schedule
-    if leaf.kind == "definition" or leaf.n not in KERNEL_LENGTHS:
-        return exact_definition_schedule(leaf.n)
-    return exact_fast_schedule(leaf.n)
 
 
 def _prime_power_factors(n: int):
@@ -229,7 +218,7 @@ def plan(n: int, variant: str) -> ExecutionPlan:
             raise ValueError(f"no approximate kernel for factor(s) {missing} of n={n}")
         kinds = {f: "approx" for f in factors}
         scale_mode = {"unscaled": "none", "scaled": "exact", "csd": "csd"}[variant]
-    elif variant.startswith("hybrid-"):
+    elif isinstance(variant, str) and variant.startswith("hybrid-"):
         parts = variant.split("-")
         if len(parts) != 3 or parts[1] not in HYBRID_LEGS or parts[2] not in ("scaled", "csd"):
             raise ValueError(f"unknown variant {variant!r}")
@@ -269,6 +258,48 @@ def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
 # ---------------------------------------------------------------------------
 # execution
 
+def leaf_schedule(leaf: Leaf) -> Schedule:
+    """A leaf's compiled schedule, built once per length and form.
+
+    Approximate leaves and exact 3-, 11- and 31-point leaves take the
+    butterfly form [A, C, A^T], with C from ``factorization(n)`` or
+    ``derive_core`` of the exact DFT. Every other leaf takes the definition
+    form [dft_matrix(n)], so an exact and a definition leaf of such a length
+    share one schedule.
+    """
+    fast = leaf.kind == "approx" or (leaf.kind == "exact" and leaf.n in KERNEL_LENGTHS)
+    return _compiled_leaf(leaf.n, leaf.kind if fast else "definition")
+
+
+@lru_cache(maxsize=None)
+def _compiled_leaf(n: int, form: str) -> Schedule:
+    if form == "definition":
+        return compile_stages([dft_matrix(n)], n)
+    core = factorization(n).core if form == "approx" else derive_core(dft_matrix(n))
+    A = a_stage_matrix(n)
+    return compile_stages([A, core, A.T], n)
+
+
+def _run_leaf(leaf: Leaf, x) -> np.ndarray:
+    """Run a leaf's schedule on a signal or a batch of column signals."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[0] != leaf.n:
+        raise ValueError(f"input length {x.shape[0]} does not match n={leaf.n}")
+    return run_numpy(leaf_schedule(leaf), x.reshape(leaf.n, x.size // leaf.n)).reshape(x.shape)
+
+
+def apply_kernel_fast(n: int, x) -> np.ndarray:
+    """Multiply by the dense kernel using only additions and shifts."""
+    return _run_leaf(Leaf(n, "approx"), x)
+
+
+def fast_exact(n: int, x) -> np.ndarray:
+    """Factorized exact transform for n in {3, 11, 31}."""
+    if n not in KERNEL_LENGTHS:
+        raise ValueError(f"no fast exact factorization for n={n}")
+    return _run_leaf(Leaf(n, "exact"), x)
+
+
 @lru_cache(maxsize=None)
 def _output_map(tree, mode: str):
     """Output positions and scale values of the last leaf level's grid.
@@ -299,7 +330,7 @@ def _run_tree(tree, mode: str, arr):
 
         def rotate(r, b, rows, dest=dest):
             dest[r, :, b] = rows.transpose(1, 0, 2)
-        run_numpy(leaf_schedule(leaf), y.reshape(leaf.n, -1, B), rotate)
+        run_numpy(leaf_schedule(leaf), y.reshape(leaf.n, n // leaf.n, B), rotate)
         y = dest
     out = np.empty_like(arr)
     positions, scale = _output_map(tree, mode)
@@ -308,7 +339,7 @@ def _run_tree(tree, mode: str, arr):
         if scale is not None:
             np.multiply(rows, scale[:, r], out=rows)
         out[positions[:, r], b] = rows
-    run_numpy(leaf_schedule(leaves[0]), y.reshape(leaves[0].n, -1, B), scatter)
+    run_numpy(leaf_schedule(leaves[0]), y.reshape(leaves[0].n, n // leaves[0].n, B), scatter)
     return out
 
 
@@ -331,14 +362,14 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
     return y[:, 0] if single else y
 
 
-def instrumented_count(plan_: ExecutionPlan, rng=None) -> OpCount:
+def instrumented_count(plan_: ExecutionPlan) -> OpCount:
     """Run ``execute`` once on a metered signal and return what it charged.
 
     The metered array (see ``pfadft.schedule.Metered``) takes the same
     gather, waves or tiles, scatter and in-place scale as any other input,
     and its output must equal the plain run's bit for bit.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n = plan_.n
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     m = metered(x)

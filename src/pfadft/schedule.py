@@ -481,7 +481,7 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
     tile.
     """
     x = np.asanyarray(x, dtype=np.complex128, order="C")
-    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    x3 = x[:, None] if x.ndim == 2 else x
     n_in, rows, B = x3.shape
     out = None
     if write is None:
@@ -492,7 +492,7 @@ def run_numpy(sched: Schedule, x: np.ndarray, write=None):
             o3[:, r, b] = y
     if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= max(
             sched.n_slots * TILE, _WAVE_ELEMENTS):
-        y = _run_waves(sched.waves, x3.reshape(n_in, -1))
+        y = _run_waves(sched.waves, x3.reshape(n_in, rows * B))
         write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
     else:
         _run_tiles(sched, x3, write)

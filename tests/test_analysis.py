@@ -258,8 +258,9 @@ class TestResponseErrorMax:
         _assert_response_matches_two_fft(plan_from_json(text))
 
     def test_undersampled_grid_rejected(self):
+        # 4199 = 13 * 17 * 19 needs more than the 8192-point default grid
         with pytest.raises(ValueError):
-            response_error_max_db("csd", 31, grid_points=32)
+            response_error_max_db("exact", 4199)
 
 
 class TestExactPlans:
@@ -355,6 +356,6 @@ class TestCosineProbe:
         assert abs(probe.leakage_ratio - 0.09) < 0.02
 
     def test_bin_bounds_rejected(self):
-        for bad in (0, 17, 20):
+        for bad in (0, 17, 20, 2.5):
             with pytest.raises(ValueError):
                 cosine_probe(33, bad, "exact")

@@ -146,6 +146,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_alpha(3, step=0.0)
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            sweep_alpha(3.5)
+
     @pytest.mark.parametrize("n,step", [
         (MAX_DEFINITION_LENGTH + 1, 1e-5), (10 ** 9, 1e-5),
         (3, 5e-8), (3, 1e-9), (3, 1e-320), (3, float("nan")), (3, float("inf")),

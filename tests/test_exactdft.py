@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
-from pfadft.exactdft import (butterfly_matrix, dft_matrix,
-                             exact_definition_schedule, exact_fast_schedule,
-                             fast_exact)
+from pfadft.exactdft import a_stage_matrix, dft_matrix
+from pfadft.pfa import Leaf, fast_exact, leaf_schedule
 
 
 class TestDftMatrix:
@@ -21,6 +20,10 @@ class TestDftMatrix:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             dft_matrix(0)
+
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            dft_matrix(2.5)
 
 
 class TestDftDirect:
@@ -70,11 +73,11 @@ class TestFastExact:
 
     @pytest.mark.parametrize("n,count", [(3, (2, 12, 2)), (11, (100, 140, 0)), (31, (900, 1020, 0))])
     def test_operation_counts(self, n, count):
-        assert exact_fast_schedule(n).static_count.as_tuple() == count
+        assert leaf_schedule(Leaf(n, "exact")).static_count.as_tuple() == count
 
     @pytest.mark.parametrize("n,count", [(3, (12, 24, 0)), (11, (300, 520, 0)), (31, (2700, 4560, 0))])
     def test_definition_counts(self, n, count):
-        assert exact_definition_schedule(n).static_count.as_tuple() == count
+        assert leaf_schedule(Leaf(n, "definition")).static_count.as_tuple() == count
 
     def test_unsupported_length_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -95,10 +98,10 @@ class TestFastExact:
 
 def test_butterfly_is_scaled_orthogonal():
     for m in (2, 10, 30):
-        B = butterfly_matrix(m)
+        B = a_stage_matrix(m + 1)[1:, 1:]
         assert np.array_equal(B.T @ B, 2 * np.eye(m, dtype=np.int64))
 
 
 def test_butterfly_odd_order_rejected():
     with pytest.raises(ValueError):
-        butterfly_matrix(3)
+        a_stage_matrix(4)

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import coprime_plans, random_complex, zero_sign_blocks
 from pfadft.complexity import count_plan
-from pfadft.exactdft import dft_matrix, fast_exact
-from pfadft.kernels import apply_kernel_fast
+from pfadft.exactdft import dft_matrix
 from pfadft import pfa
 from pfadft.cli import cli_main
-from pfadft.pfa import (ExecutionPlan, Leaf, Node, assemble_scale,
-                        build_index_maps, dense_matrix, execute,
+from pfadft.pfa import (ExecutionPlan, Leaf, Node, apply_kernel_fast, assemble_scale,
+                        build_index_maps, dense_matrix, execute, fast_exact,
                         instrumented_count, leaf_schedule, plan, plan_from_json,
                         plan_to_json, tree_leaves)
 from pfadft.schedule import TILE, WAVE_COLUMNS, Metered, metered
@@ -100,6 +99,11 @@ class TestIndexMaps:
         with pytest.raises(ValueError):
             build_index_maps(3, 5, 9)
 
+    @pytest.mark.parametrize("lengths", [(0,), (), (2.5, 3), (True, 3)], ids=repr)
+    def test_lengths_must_be_positive_integers(self, lengths):
+        with pytest.raises(ValueError, match="positive integers"):
+            build_index_maps(*lengths)
+
 
 class TestExactComposition:
     @pytest.mark.parametrize("n", [6, 15, 33, 93, 1023])
@@ -158,6 +162,9 @@ class TestPlans:
             plan(1023, "hybrid-VII-csd")
         with pytest.raises(ValueError):
             plan(33, "hybrid-I-csd")
+        for bad in (None, 5, ["csd"]):
+            with pytest.raises(ValueError, match="unknown variant"):
+                plan(1023, bad)
 
     def test_non_coprime_node_rejected(self):
         with pytest.raises(ValueError):
@@ -290,9 +297,9 @@ class TestSizeBound:
 
     @pytest.fixture(autouse=True)
     def no_compile(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"compiled a {n}-point definition schedule")
-        monkeypatch.setattr(pfa, "exact_definition_schedule", refuse)
+        def refuse(stages, n):
+            raise AssertionError(f"compiled a {n}-point leaf schedule")
+        monkeypatch.setattr(pfa, "compile_stages", refuse)
 
     @pytest.mark.parametrize("n,variant", [(4096, "exact"), (1024, "exact-definition")])
     def test_plan_rejects_long_leaf(self, n, variant):
@@ -461,11 +468,27 @@ class TestVariantExecution:
         with pytest.raises(ValueError):
             execute(plan(33, "exact"), x)
 
+    @pytest.mark.parametrize("variant", ["csd", "exact", "exact-definition", "hybrid-VI-csd"])
+    def test_empty_batch(self, variant):
+        x = np.zeros((1023, 0))
+        got = execute(plan(1023, variant), x)
+        want = np.fft.fft(x, axis=0)
+        assert got.shape == want.shape == (1023, 0) and got.dtype == want.dtype
+
     def test_instrumented_count_smoke(self):
         got = instrumented_count(plan(33, "csd"))
         # 3 calls of the 11-point kernel, 11 of the 3-point, plus 32 scaled bins
         assert got.as_tuple() == (0, 3 * 130 + 11 * 12 + 32 * 4, 3 * 40 + 11 * 2 + 32 * 4)
         assert json.loads(json.dumps(got.as_tuple())) == list(got.as_tuple())
+
+
+class TestLeafSchedules:
+    def test_one_schedule_per_length_and_form(self):
+        assert leaf_schedule(Leaf(5, "exact")) is leaf_schedule(Leaf(5, "definition"))
+        for kind in ("approx", "exact", "definition"):
+            assert leaf_schedule(Leaf(31, kind)) is leaf_schedule(Leaf(31, kind))
+        assert leaf_schedule(Leaf(31, "exact")) is not leaf_schedule(Leaf(31, "definition"))
+        assert leaf_schedule(Leaf(31, "exact")) is not leaf_schedule(Leaf(31, "approx"))
 
 
 class TestLeafWrappers:

@@ -11,12 +11,13 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 ``count_plan``/``instrumented_count`` triples. ``execute`` also runs at
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
-every zero in the output. It also saves the op stream of the 12 compiled
+every zero in the output. It also saves the op stream of 16 compiled
 schedules, the 3-, 11- and 31-point approximate, exact and definition
-leaves and dense approximate kernels: each op's code, dst, src1 and src2,
-and its constant's bytes. Arrays above 4096 entries are stored as the
-SHA-256 of their bytes. ``compare`` exits 1 on any missing item or bit
-difference.
+leaves and dense approximate kernels, and the 1-, 2- and 5-point exact
+leaves and the 5-point definition leaf, which compile by definition: each
+op's code, dst, src1 and src2, and its constant's bytes. Arrays above 4096
+entries are stored as the SHA-256 of their bytes. ``compare`` exits 1 on
+any missing item or bit difference.
 """
 
 import hashlib
@@ -58,6 +59,8 @@ def schedules(pfadft):
         yield f"{n}-{kind}", pfadft.pfa.leaf_schedule(pfadft.pfa.Leaf(n, kind))
     for n in (3, 11, 31):
         yield f"{n}-dense", pfadft.kernels.approx_dense_schedule(n)
+    for n, kind in ((1, "exact"), (2, "exact"), (5, "exact"), (5, "definition")):
+        yield f"{n}-{kind}", pfadft.pfa.leaf_schedule(pfadft.pfa.Leaf(n, kind))
 
 
 def complex_parts(re, im):
