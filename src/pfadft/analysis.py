@@ -303,6 +303,8 @@ def cosine_probe(n: int, bin_index: int, variant) -> CosineProbe:
     Reports the two dominant lobes (the bin and its mirror) and the largest
     magnitude anywhere else, the leakage statistic.
     """
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"transform length must be a positive integer, got {n!r}")
     if not (_is_integer(bin_index) and 0 < bin_index < n / 2):
         raise ValueError(f"bin must be an integer strictly inside (0, n/2), got {bin_index!r}")
     p = _as_plan(variant, n)

@@ -21,6 +21,7 @@ differ in the last ulp, which splits one candidate in two for n = 3).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import MULTIPLIER_MAX, MULTIPLIER_SET, CsdCode, csd_encode, csd_eval
-from .exactdft import MAX_DEFINITION_LENGTH, dft_matrix
+from .exactdft import MAX_DEFINITION_LENGTH, _is_integer, dft_matrix
 from .schedule import OpCount
 
 #: closed expansion-factor interval used by every sweep
@@ -239,8 +240,10 @@ def sweep_alpha(n: int, step: float = 1e-5):
     ``MAX_DEFINITION_LENGTH`` and grids above ``MAX_SWEEP_POINTS`` points
     are rejected before anything is allocated.
     """
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    if not (isinstance(step, numbers.Real) and 0 < step < np.inf):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"transform length must be a positive integer, got {n!r}")
     if n > MAX_DEFINITION_LENGTH:
         raise ValueError(f"sweeps are limited to n <= {MAX_DEFINITION_LENGTH}, got {n}")
     lo, hi = SWEEP_INTERVAL

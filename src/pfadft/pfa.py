@@ -283,8 +283,8 @@ def _compiled_leaf(n: int, form: str) -> Schedule:
 def _run_leaf(leaf: Leaf, x) -> np.ndarray:
     """Run a leaf's schedule on a signal or a batch of column signals."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != leaf.n:
-        raise ValueError(f"input length {x.shape[0]} does not match n={leaf.n}")
+    if x.ndim == 0 or x.shape[0] != leaf.n:
+        raise ValueError(f"input of shape {x.shape} does not have length n={leaf.n}")
     return run_numpy(leaf_schedule(leaf), x.reshape(leaf.n, x.size // leaf.n)).reshape(x.shape)
 
 

@@ -21,8 +21,11 @@ the approximate 31-, 11- and 3-point kernels hold 721, 101 and 9 ops, not
 The numpy executor runs a list in one of two forms, chosen by the width of
 the block. A narrow block runs as compiled waves: every write gets a fresh
 row, each op sits one level above its operands, and the ops of one level
-and opcode run as one numpy call, which runs the 721 ops of the 31-point
-approximate kernel as 34 calls. A wide block runs the list op by op over
+and opcode run as one numpy call. Operands whose rows form no arithmetic
+progression are copied first, by one gather per level, so the 721 ops of
+the 31-point approximate kernel run as 34 wave calls and 15 gathers. The
+calls are bound to their slot array views once per block width and
+thread, so a call runs only numpy. A wide block runs the list op by op over
 ``TILE`` (4096) column tiles of one reused slot array, which keeps the rows
 each op touches in cache; the ops read the input rows in place. Waves hold
 one row per op, so they lose once those rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15),
@@ -51,8 +54,10 @@ Cost conventions (used repo-wide):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -317,6 +322,8 @@ def _mul_charge(c: complex) -> tuple:
 class _OpKind(NamedTuple):
     cost: Callable    # op constant -> static OpCount
     numpy: Callable   # (out, src1, src2, constant) -> None, writes out; rows or blocks of rows
+    call: Callable    # (out, src1, src2, constant) -> (numpy callable, args) doing the same;
+                      # a metered run meters only args[0]: a MUL's data, a MULCC's out
 
 
 _FREE = OpCount()
@@ -355,11 +362,16 @@ def _np_mulcc(out, z, b, c):
 
 
 _OPCODES = {
-    CP: _OpKind(lambda c: _FREE, _np_cp),
-    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out)),
-    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out)),
-    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out)),
-    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc),
+    CP: _OpKind(lambda c: _FREE, _np_cp, lambda out, a, b, c: (
+        (np.copyto, (out, a)) if c > 0 else (np.negative, (a, out)))),
+    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out),
+                 lambda out, a, b, c: (np.add, (a, b, out))),
+    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out),
+                 lambda out, a, b, c: (np.subtract, (a, b, out))),
+    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out),
+                 lambda out, a, b, c: (np.multiply, (a, c, out))),
+    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc,
+                   lambda out, a, b, c: (_np_mulcc, (out, a, b, c))),
 }
 
 
@@ -373,34 +385,46 @@ TILE = 4096
 
 class Wave(NamedTuple):
     """Ops of one opcode (and sign, for CP) at one dependency level, run as
-    one numpy call over a block of rows of the wave slot array."""
+    one numpy call over a block of rows of the wave slot array. Operands
+    read by index array are gathered with the rest of their level's."""
 
     code: int
     ops: tuple     # positions in Schedule.ops, in row order
     dst: slice     # the fresh contiguous rows the wave writes
-    src1: object   # rows read: a slice, or an index array
+    src1: object   # rows read: a slice (any nonzero step), or an index array
     src2: object   # the same for the second operand, or None
     const: object  # None, the CP sign, or the ops' constants as a complex column
 
 
 class CompiledWaves(NamedTuple):
+    """A schedule's waves, and the numpy calls that run them level by level
+    over one slot array: one ``take`` per level gathers the operands it
+    reads by index array into rows only later levels write, then each wave
+    is one call on row slices, made views once per width by ``_bind``."""
+
     waves: tuple
     n_rows: int    # the n_in inputs, then each wave's rows in wave order
     out: np.ndarray  # rows holding the n_out outputs
+    layout: tuple  # (numpy callable, args) calls; a slice arg stands for those slot rows
+    n_stage: int   # staging rows needed past n_rows
+    cache: threading.local  # .entry: this thread's (width, slot array, bound calls)
 
 
 def _rows(idx):
-    """A slice for an arithmetic progression of rows, else an index array."""
+    """A slice for an arithmetic progression of rows with a nonzero step,
+    else an index array."""
     idx = np.asarray(idx, dtype=np.intp)
     step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if step > 0 and np.all(np.diff(idx) == step):
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    if step and np.all(np.diff(idx) == step):
+        stop = int(idx[-1]) + (1 if step > 0 else -1)
+        return slice(int(idx[0]), stop if stop >= 0 else None, step)
     return idx
 
 
 def _compile_waves(sched: Schedule) -> CompiledWaves:
     """Rename every write to a fresh value, level each op at 1 + its
-    operands' highest level, and group the ops by (level, opcode, CP sign)."""
+    operands' highest level, group the ops by (level, opcode, CP sign) and
+    lay the groups out as calls, one gather per level first."""
     n_in = sched.n_in
     value = {i: i for i in range(n_in)}  # slot -> its latest value
     level = [0] * n_in                   # value -> level; value n_in + i is op i's
@@ -413,34 +437,70 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
         groups.setdefault((level[-1], op.code, op.c.real if op.code == CP else 0.0),
                           []).append(i)
     row = list(range(n_in)) + [0] * len(sched.ops)  # value -> row of the slot array
-    waves, start = [], n_in
-    for (_, code, sign), members in sorted(groups.items()):
-        for r, i in enumerate(members, start):
-            row[n_in + i] = r
-        if code == CP:
-            const = sign
-        elif code in (ADD, SUB):
-            const = None
-        else:
-            const = np.array([sched.ops[i].c for i in members], dtype=np.complex128)[:, None]
-        srcs = [_rows([row[args[i][k]] for i in members]) for k in range(len(args[members[0]]))]
-        waves.append(Wave(code, tuple(members), slice(start, start + len(members)),
-                          srcs[0], srcs[1] if len(srcs) > 1 else None, const))
-        start += len(members)
+    n_rows = n_in + len(sched.ops)
+    waves, start, layout, n_stage = [], n_in, [], 0
+    for _, level_groups in groupby(sorted(groups.items()), key=lambda g: g[0][0]):
+        level_groups = list(level_groups)
+        # the level reads rows before `first`, writes rows up to `stage` and
+        # stages its gathered operands from `stage` on
+        first, gathered, calls = start, [], []
+        stage = start + sum(len(members) for _, members in level_groups)
+        for (_, code, sign), members in level_groups:
+            for r, i in enumerate(members, start):
+                row[n_in + i] = r
+            if code == CP:
+                const = sign
+            elif code in (ADD, SUB):
+                const = None
+            else:
+                const = np.array([sched.ops[i].c for i in members], dtype=np.complex128)[:, None]
+            srcs = [_rows([row[args[i][k]] for i in members]) for k in range(len(args[members[0]]))]
+            srcs += [None] * (2 - len(srcs))
+            waves.append(Wave(code, tuple(members), slice(start, start + len(members)),
+                              *srcs, const))
+            start += len(members)
+            for k, src in enumerate(srcs):
+                if isinstance(src, np.ndarray):  # read from the level's staging rows
+                    at = stage + sum(map(len, gathered))
+                    gathered.append(src)
+                    srcs[k] = slice(at, at + len(src))
+            calls.append(_OPCODES[code].call(waves[-1].dst, *srcs, const))
+        if gathered:
+            rows = np.concatenate(gathered)
+            n_stage = max(n_stage, stage + len(rows) - n_rows)
+            # in range and apart from the rows read, "clip" writes straight to
+            # out; the default mode copies through a buffer first
+            layout.append((np.ndarray.take, (slice(0, first), rows, 0,
+                                             slice(stage, stage + len(rows)), "clip")))
+        layout += calls
     out = [row[value[s]] for s in range(sched.out_base, sched.out_base + sched.n_out)]
-    return CompiledWaves(tuple(waves), n_in + len(sched.ops), np.array(out, dtype=np.intp))
+    return CompiledWaves(tuple(waves), n_rows, np.array(out, dtype=np.intp), tuple(layout),
+                         n_stage, threading.local())
 
 
-def _read(S, idx):
-    return S[idx] if isinstance(idx, slice) else S.take(idx, axis=0)
+def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
+    """The layout's calls with each row slice made a view of the slot array
+    S: the first of each call a view of S itself, which carries a meter
+    (see ``_OpKind.call``), the others views of S's plain ndarray."""
+    P = S.view(np.ndarray)
+    return [(fn, [S[args[0]]] + [P[a] if type(a) is slice else a for a in args[1:]])
+            for fn, args in cw.layout]
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
-    S = np.empty_like(x, shape=(cw.n_rows, x.shape[1]))
+    shape = (cw.n_rows + cw.n_stage, x.shape[1])
+    if type(x) is np.ndarray:
+        entry = getattr(cw.cache, "entry", None)
+        if entry is None or entry[0] != shape[1]:
+            S = np.empty(shape, dtype=np.complex128)
+            entry = cw.cache.entry = (shape[1], S, _bind(cw, S))
+        _, S, calls = entry
+    else:  # a metered block binds on every call, so each ufunc run is charged
+        S = np.empty_like(x, shape=shape)
+        calls = _bind(cw, S)
     S[: x.shape[0]] = x
-    for w in cw.waves:
-        _OPCODES[w.code].numpy(S[w.dst], _read(S, w.src1),
-                               None if w.src2 is None else _read(S, w.src2), w.const)
+    for fn, a in calls:
+        fn(*a)
     return S.take(cw.out, axis=0)
 
 

@@ -359,3 +359,8 @@ class TestCosineProbe:
         for bad in (0, 17, 20, 2.5):
             with pytest.raises(ValueError):
                 cosine_probe(33, bad, "exact")
+
+    @pytest.mark.parametrize("n", [None, "33", 33.0])
+    def test_wrong_typed_length_rejected(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            cosine_probe(n, 2, "csd")

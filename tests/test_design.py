@@ -150,6 +150,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive integer"):
             sweep_alpha(3.5)
 
+    @pytest.mark.parametrize("n,step", [(None, 1e-5), ("3", 1e-5), (3, None), (3, "1e-5")])
+    def test_wrong_typed_arguments_rejected(self, n, step):
+        with pytest.raises(ValueError, match="positive"):
+            sweep_alpha(n, step)
+
     @pytest.mark.parametrize("n,step", [
         (MAX_DEFINITION_LENGTH + 1, 1e-5), (10 ** 9, 1e-5),
         (3, 5e-8), (3, 1e-9), (3, 1e-320), (3, float("nan")), (3, float("inf")),

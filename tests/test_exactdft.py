@@ -87,6 +87,12 @@ class TestFastExact:
         with pytest.raises(ValueError):
             fast_exact(3, random_complex(rng, 4))
 
+    @pytest.mark.parametrize("n,x", [(3, 1.0), (3, np.complex128(1j)), (None, [1, 2, 3]),
+                                     ("3", [1, 2, 3])])
+    def test_wrong_typed_arguments_rejected(self, n, x):
+        with pytest.raises(ValueError):
+            fast_exact(n, x)
+
     @pytest.mark.parametrize("n", [3, 11, 31])
     def test_linearity(self, n, rng):
         x, y = random_complex(rng, n), random_complex(rng, n)

@@ -148,6 +148,12 @@ class TestApplyKernel:
         with pytest.raises(ValueError):
             apply_kernel_fast(3, random_complex(rng, 4))
 
+    @pytest.mark.parametrize("n,x", [(3, 1.0), (3, np.complex128(1j)), (None, [1, 2, 3]),
+                                     ("3", [1, 2, 3])])
+    def test_wrong_typed_arguments_rejected(self, n, x):
+        with pytest.raises(ValueError):
+            apply_kernel_fast(n, x)
+
 
 def ground_scale(n, mode):
     """Output scale of the one-leaf plan of the approximate n-point kernel."""

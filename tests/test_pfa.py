@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -572,6 +573,41 @@ def test_random_trees_are_linear(text, seed, batch):
     want = a * execute(p, x) + b * execute(p, y)
     got = execute(p, a * x + b * y)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_threads_running_execute_at_once_match_the_serial_run():
+    # csd and scaled, csd and unscaled share their approximate leaf schedules,
+    # so both threads run the same compiled waves at once, each at its own
+    # block widths: the 31-point plans run waves at every batch, the
+    # 1023-point ones their 31-point level
+    rng = np.random.default_rng(11)
+    jobs = [[(plan(31, "csd"), 1), (plan(31, "csd"), 7), (plan(31, "csd"), 64),
+             (plan(1023, "csd"), 1), (plan(1023, "csd"), 7)],
+            [(plan(31, "scaled"), 64), (plan(31, "scaled"), 1), (plan(31, "scaled"), 7),
+             (plan(1023, "unscaled"), 7), (plan(1023, "unscaled"), 1)]]
+    inputs = [[random_complex(rng, p.n, b).reshape(p.n, b) for p, b in job] for job in jobs]
+    want = [[execute(p, x).tobytes() for (p, _), x in zip(job, xs)]
+            for job, xs in zip(jobs, inputs)]
+    mismatches = []
+
+    def run(k):
+        for _ in range(40):
+            for (p, _), x, w in zip(jobs[k], inputs[k], want[k]):
+                if execute(p, x).tobytes() != w:
+                    mismatches.append((k, p.n, x.shape[1]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 @settings(deadline=None, max_examples=8)

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -428,6 +429,56 @@ def test_executor_form_follows_block_width(monkeypatch):
     for width in (8, 9):
         run_numpy(definition512, np.ones((512, width), dtype=np.complex128))
     assert calls[5:] == ["_run_waves", "_run_tiles"]
+
+
+def test_wave_reads_take_descending_progressions_as_slices():
+    rows = np.arange(40)
+    for idx, want in (([30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16],
+                       slice(30, 15, -1)),
+                      ([10, 9, 8, 7, 6], slice(10, 5, -1)), ([3, 2, 1, 0], slice(3, None, -1)),
+                      ([4, 7, 10], slice(4, 11, 3)), ([5], slice(5, 6, 1))):
+        assert schedule._rows(idx) == want
+        assert rows[want].tolist() == idx
+    # a repeated row stays an index read, gathered with its level's others
+    assert schedule._rows([4, 4, 4]).tolist() == [4, 4, 4]
+
+
+#: most numpy calls of one bound wave program: one per wave, plus one
+#: gather per dependency level that reads any operand by index array
+CALL_BUDGET = {"31-approx": 50, "11-approx": 20, "3-approx": 8}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_BUDGET))
+def test_bound_wave_program_stays_within_its_call_budget(name):
+    sched = SCHEDULES[name]()
+    run_numpy(sched, np.ones((sched.n_in, 33), dtype=np.complex128))
+    width, S, calls = sched.waves.cache.entry
+    assert (width, S.shape) == (33, (sched.waves.n_rows + sched.waves.n_stage, 33))
+    assert len(calls) <= CALL_BUDGET[name]
+    gathers = sum(fn is np.ndarray.take for fn, _ in calls)
+    assert len(calls) - gathers == len(sched.waves.waves) == PROPAGATED[name][1]
+
+
+def test_wave_cache_keeps_one_width_per_thread():
+    sched = SCHEDULES["31-approx"]()
+    cw = sched.waves
+    rng = np.random.default_rng(8)
+    for width in range(1, 41):
+        x = _awkward_block(rng, sched.n_in, width)
+        assert run_numpy(sched, x).tobytes() == _per_op_oracle(sched, x).tobytes(), width
+        assert list(vars(cw.cache)) == ["entry"] and cw.cache.entry[0] == width
+    entry = cw.cache.entry
+    # a metered block binds its own slot array and leaves the cache alone
+    for width in (7, 40):
+        x = _awkward_block(rng, sched.n_in, width)
+        assert run_numpy(sched, metered(x)).tobytes() == _per_op_oracle(sched, x).tobytes()
+        assert cw.cache.entry is entry
+    # another thread starts without an entry
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(dict(vars(cw.cache))))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and seen == [{}]
 
 
 def test_wave_compile_rejects_reads_before_writes():

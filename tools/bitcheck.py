@@ -11,7 +11,8 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 ``count_plan``/``instrumented_count`` triples. ``execute`` also runs at
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
-every zero in the output. It also saves the op stream of 16 compiled
+every zero in the output, and then at batch 7 and 33, so each leaf
+schedule's waves run at new widths in the same process. It also saves the op stream of 16 compiled
 schedules, the 3-, 11- and 31-point approximate, exact and definition
 leaves and dense approximate kernels, and the 1-, 2- and 5-point exact
 leaves and the 5-point definition leaf, which compile by definition: each
@@ -99,6 +100,8 @@ def dump(src_root, out):
         for kind, z in zero_sign_inputs(x, rng).items():
             put(f"{name}/execute-{kind}-b1", pfadft.execute(p, z[:, :1]))
             put(f"{name}/execute-{kind}-b64", pfadft.execute(p, z))
+        put(f"{name}/execute-b7", pfadft.execute(p, x[:, :7]))
+        put(f"{name}/execute-b33", pfadft.execute(p, x[:, :33]))
         put(f"{name}/dense", pfadft.dense_matrix(p))
         if p.scale_mode != "none":
             put(f"{name}/scale", pfadft.assemble_scale(p).values())
