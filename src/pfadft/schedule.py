@@ -24,11 +24,14 @@ row, each op sits one level above its operands, and the ops of one level
 and opcode run as one numpy call. Operands whose rows form no arithmetic
 progression are copied first, by one gather per level, so the 721 ops of
 the 31-point approximate kernel run as 34 wave calls and 15 gathers. The
-calls are bound to their slot array views once per block width and
-thread, so a call runs only numpy. A wide block runs the list op by op over
-``TILE`` (4096) column tiles of one reused slot array, which keeps the rows
-each op touches in cache; the ops read the input rows in place. Waves hold
-one row per op, so they lose once those rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15),
+calls are laid out at compile time and bound to views of a slot array; as
+binding the 31-point kernel's 130 views costs about 50 us, a third of a
+run, a schedule keeps its last plain run's slot array of at most
+``_SPARE_ELEMENTS`` for its next run at that width. A wide block runs the
+list op by op over ``TILE`` (4096) column tiles of one reused slot array,
+which keeps the rows each op touches in cache; the ops read the input rows
+in place. Waves hold one row per op, so they lose once those rows outgrow
+the cache. Measured on a 2-vCPU Xeon (best of 15),
 waves against tiles take 0.27 against 1.33 ms for the 31-point approximate
 kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
 at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
@@ -54,7 +57,6 @@ Cost conventions (used repo-wide):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -322,8 +324,6 @@ def _mul_charge(c: complex) -> tuple:
 class _OpKind(NamedTuple):
     cost: Callable    # op constant -> static OpCount
     numpy: Callable   # (out, src1, src2, constant) -> None, writes out; rows or blocks of rows
-    call: Callable    # (out, src1, src2, constant) -> (numpy callable, args) doing the same;
-                      # a metered run meters only args[0]: a MUL's data, a MULCC's out
 
 
 _FREE = OpCount()
@@ -362,16 +362,11 @@ def _np_mulcc(out, z, b, c):
 
 
 _OPCODES = {
-    CP: _OpKind(lambda c: _FREE, _np_cp, lambda out, a, b, c: (
-        (np.copyto, (out, a)) if c > 0 else (np.negative, (a, out)))),
-    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out),
-                 lambda out, a, b, c: (np.add, (a, b, out))),
-    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out),
-                 lambda out, a, b, c: (np.subtract, (a, b, out))),
-    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out),
-                 lambda out, a, b, c: (np.multiply, (a, c, out))),
-    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc,
-                   lambda out, a, b, c: (_np_mulcc, (out, a, b, c))),
+    CP: _OpKind(lambda c: _FREE, _np_cp),
+    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out)),
+    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out)),
+    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out)),
+    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc),
 }
 
 
@@ -381,6 +376,10 @@ WAVE_COLUMNS = 512
 _WAVE_ELEMENTS = 2 ** 19
 #: columns per tile when a wider block runs op by op
 TILE = 4096
+#: most elements (512 KiB) of a slot array kept for the next run: enough for the
+#: approximate and exact leaves of a batch-1 1023-point plan, not for the
+#: 31-point by-definition leaf (61,413)
+_SPARE_ELEMENTS = 2 ** 15
 
 
 class Wave(NamedTuple):
@@ -400,14 +399,14 @@ class CompiledWaves(NamedTuple):
     """A schedule's waves, and the numpy calls that run them level by level
     over one slot array: one ``take`` per level gathers the operands it
     reads by index array into rows only later levels write, then each wave
-    is one call on row slices, made views once per width by ``_bind``."""
+    is one call on row slices, made views of a slot array by ``_bind``."""
 
     waves: tuple
     n_rows: int    # the n_in inputs, then each wave's rows in wave order
     out: np.ndarray  # rows holding the n_out outputs
     layout: tuple  # (numpy callable, args) calls; a slice arg stands for those slot rows
     n_stage: int   # staging rows needed past n_rows
-    cache: threading.local  # .entry: this thread's (width, slot array, bound calls)
+    spare: dict    # width -> (slot array, its bound calls) of the last plain run, if small
 
 
 def _rows(idx):
@@ -464,7 +463,7 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
                     at = stage + sum(map(len, gathered))
                     gathered.append(src)
                     srcs[k] = slice(at, at + len(src))
-            calls.append(_OPCODES[code].call(waves[-1].dst, *srcs, const))
+            calls.append((_OPCODES[code].numpy, (waves[-1].dst, *srcs, const)))
         if gathered:
             rows = np.concatenate(gathered)
             n_stage = max(n_stage, stage + len(rows) - n_rows)
@@ -475,33 +474,32 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
         layout += calls
     out = [row[value[s]] for s in range(sched.out_base, sched.out_base + sched.n_out)]
     return CompiledWaves(tuple(waves), n_rows, np.array(out, dtype=np.intp), tuple(layout),
-                         n_stage, threading.local())
+                         n_stage, {})
 
 
 def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
     """The layout's calls with each row slice made a view of the slot array
-    S: the first of each call a view of S itself, which carries a meter
-    (see ``_OpKind.call``), the others views of S's plain ndarray."""
-    P = S.view(np.ndarray)
-    return [(fn, [S[args[0]]] + [P[a] if type(a) is slice else a for a in args[1:]])
-            for fn, args in cw.layout]
+    S, so a metered S meters every call."""
+    return [(fn, [S[a] if type(a) is slice else a for a in args]) for fn, args in cw.layout]
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
-    shape = (cw.n_rows + cw.n_stage, x.shape[1])
-    if type(x) is np.ndarray:
-        entry = getattr(cw.cache, "entry", None)
-        if entry is None or entry[0] != shape[1]:
-            S = np.empty(shape, dtype=np.complex128)
-            entry = cw.cache.entry = (shape[1], S, _bind(cw, S))
-        _, S, calls = entry
-    else:  # a metered block binds on every call, so each ufunc run is charged
-        S = np.empty_like(x, shape=shape)
+    """Run the bound calls over a slot array whose first rows hold x. A
+    plain block takes the spare of its width, if any: the pop hands it to
+    one run at a time. A metered block binds its own, so every call meters."""
+    plain = type(x) is np.ndarray
+    S, calls = cw.spare.pop(x.shape[1], (None, None)) if plain else (None, None)
+    if S is None:
+        S = np.empty_like(x, shape=(cw.n_rows + cw.n_stage, x.shape[1]))
         calls = _bind(cw, S)
     S[: x.shape[0]] = x
     for fn, a in calls:
         fn(*a)
-    return S.take(cw.out, axis=0)
+    y = S.take(cw.out, axis=0)
+    if plain and S.size <= _SPARE_ELEMENTS:
+        cw.spare.clear()
+        cw.spare[x.shape[1]] = S, calls
+    return y
 
 
 def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:

@@ -579,7 +579,7 @@ def test_threads_running_execute_at_once_match_the_serial_run():
     # csd and scaled, csd and unscaled share their approximate leaf schedules,
     # so both threads run the same compiled waves at once, each at its own
     # block widths: the 31-point plans run waves at every batch, the
-    # 1023-point ones their 31-point level
+    # 1023-point ones their 31-point level. Each run needs its own slot array.
     rng = np.random.default_rng(11)
     jobs = [[(plan(31, "csd"), 1), (plan(31, "csd"), 7), (plan(31, "csd"), 64),
              (plan(1023, "csd"), 1), (plan(1023, "csd"), 7)],
@@ -668,6 +668,23 @@ def test_pass_holds_two_grids_and_one_tile():
         tracemalloc.stop()
     tile = max((leaf_schedule(leaf).n_slots - leaf.n) * TILE * 16 for leaf in tree_leaves(p.tree))
     assert peak <= 2 * x.nbytes + tile + x.nbytes // 4
+
+
+def test_wave_runs_hold_no_slot_array_after_they_return():
+    # a 512-point by-definition leaf runs as waves over 523,265 rows at
+    # batch 8, a 67 MB slot array that must go when execute returns
+    p = plan(512, "exact-definition")
+    x = np.ones((512, 8), dtype=np.complex128)
+    execute(p, x[:, :1])  # warm the plan and its compiled waves at another width
+    tracemalloc.start()
+    try:
+        y = execute(p, x)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = leaf_schedule(tree_leaves(p.tree)[0]).waves.n_rows
+    assert peak >= rows * x.shape[1] * 16  # it ran as waves
+    assert current <= y.nbytes + x.nbytes
 
 
 def test_dense_matrix_holds_one_n_point_matrix():

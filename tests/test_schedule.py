@@ -1,5 +1,4 @@
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -450,35 +449,32 @@ CALL_BUDGET = {"31-approx": 50, "11-approx": 20, "3-approx": 8}
 
 @pytest.mark.parametrize("name", sorted(CALL_BUDGET))
 def test_bound_wave_program_stays_within_its_call_budget(name):
-    sched = SCHEDULES[name]()
-    run_numpy(sched, np.ones((sched.n_in, 33), dtype=np.complex128))
-    width, S, calls = sched.waves.cache.entry
-    assert (width, S.shape) == (33, (sched.waves.n_rows + sched.waves.n_stage, 33))
+    cw = SCHEDULES[name]().waves
+    calls = schedule._bind(cw, np.empty((cw.n_rows + cw.n_stage, 33), dtype=np.complex128))
     assert len(calls) <= CALL_BUDGET[name]
     gathers = sum(fn is np.ndarray.take for fn, _ in calls)
-    assert len(calls) - gathers == len(sched.waves.waves) == PROPAGATED[name][1]
+    assert len(calls) - gathers == len(cw.waves) == PROPAGATED[name][1]
 
 
-def test_wave_cache_keeps_one_width_per_thread():
+def test_wave_schedule_keeps_one_small_spare_slot_array():
     sched = SCHEDULES["31-approx"]()
     cw = sched.waves
     rng = np.random.default_rng(8)
     for width in range(1, 41):
         x = _awkward_block(rng, sched.n_in, width)
         assert run_numpy(sched, x).tobytes() == _per_op_oracle(sched, x).tobytes(), width
-        assert list(vars(cw.cache)) == ["entry"] and cw.cache.entry[0] == width
-    entry = cw.cache.entry
-    # a metered block binds its own slot array and leaves the cache alone
+        assert list(cw.spare) == [width]
+    spare = cw.spare[40]
+    # a metered block binds its own slot array and leaves the spare alone
     for width in (7, 40):
         x = _awkward_block(rng, sched.n_in, width)
         assert run_numpy(sched, metered(x)).tobytes() == _per_op_oracle(sched, x).tobytes()
-        assert cw.cache.entry is entry
-    # another thread starts without an entry
-    seen = []
-    thread = threading.Thread(target=lambda: seen.append(dict(vars(cw.cache))))
-    thread.start()
-    thread.join(timeout=10)
-    assert not thread.is_alive() and seen == [{}]
+        assert cw.spare == {40: spare}
+    # a slot array past _SPARE_ELEMENTS is not kept
+    width = schedule._SPARE_ELEMENTS // (cw.n_rows + cw.n_stage) + 1
+    x = _awkward_block(rng, sched.n_in, width)
+    assert run_numpy(sched, x).tobytes() == _per_op_oracle(sched, x).tobytes()
+    assert cw.spare == {40: spare}
 
 
 def test_wave_compile_rejects_reads_before_writes():

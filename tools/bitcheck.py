@@ -12,13 +12,13 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
 every zero in the output, and then at batch 7 and 33, so each leaf
-schedule's waves run at new widths in the same process. It also saves the op stream of 16 compiled
-schedules, the 3-, 11- and 31-point approximate, exact and definition
-leaves and dense approximate kernels, and the 1-, 2- and 5-point exact
-leaves and the 5-point definition leaf, which compile by definition: each
-op's code, dst, src1 and src2, and its constant's bytes. Arrays above 4096
-entries are stored as the SHA-256 of their bytes. ``compare`` exits 1 on
-any missing item or bit difference.
+schedule's waves run at new widths in the same process. It also saves the
+op stream of 16 compiled schedules, the 3-, 11- and 31-point approximate,
+exact and definition leaves and dense approximate kernels, and the 1-, 2-
+and 5-point exact leaves and the 5-point definition leaf, which compile by
+definition: each op's code, dst, src1 and src2, and its constant's bytes.
+Arrays above 4096 entries are stored as the SHA-256 of their bytes.
+``compare`` exits 1 on any missing item or bit difference.
 """
 
 import hashlib
