@@ -350,15 +350,21 @@ def _np_mulcc(out, z, b, c):
     """c z for c = p + jq, spelled out so the result does not depend on how
     the vectorized complex multiply fuses its operations.
 
-    It runs on plain views and charges a metered ``out`` as one unit at the
+    It runs on plain views and charges a metered ``z`` as one unit at the
     cost convention's 3 mults + 3 adds. That is a known gap: the spelled-out
     form performs 4 mults and 2 adds. The 3-mult form would close it, but
     would move the last bits of every by-definition leaf's output.
     """
     p, q = c.real, c.imag
+    _charge(getattr(z, "tally", None), (3, 3, 0), out.size)
     z = z.view(np.ndarray)
     np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out.view(np.ndarray))
-    _charge(getattr(out, "tally", None), (3, 3, 0), out.size)
+
+
+def _np_take(out, a, b, rows):
+    # the rows are in range and apart from out, so "clip" writes straight to
+    # out; the default mode copies through a buffer first
+    a.take(rows, 0, out, "clip")
 
 
 _OPCODES = {
@@ -376,16 +382,14 @@ WAVE_COLUMNS = 512
 _WAVE_ELEMENTS = 2 ** 19
 #: columns per tile when a wider block runs op by op
 TILE = 4096
-#: most elements (512 KiB) of a slot array kept for the next run: enough for the
-#: approximate and exact leaves of a batch-1 1023-point plan, not for the
-#: 31-point by-definition leaf (61,413)
+#: most elements (512 KiB) of a slot array kept for the next run: enough for the approximate
+#: and exact leaves of a batch-1 1023-point plan, not the 31-point by-definition leaf
 _SPARE_ELEMENTS = 2 ** 15
 
 
 class Wave(NamedTuple):
     """Ops of one opcode (and sign, for CP) at one dependency level, run as
-    one numpy call over a block of rows of the wave slot array. Operands
-    read by index array are gathered with the rest of their level's."""
+    one numpy call over a block of rows of the wave slot array."""
 
     code: int
     ops: tuple     # positions in Schedule.ops, in row order
@@ -404,20 +408,18 @@ class CompiledWaves(NamedTuple):
     waves: tuple
     n_rows: int    # the n_in inputs, then each wave's rows in wave order
     out: np.ndarray  # rows holding the n_out outputs
-    layout: tuple  # (numpy callable, args) calls; a slice arg stands for those slot rows
+    layout: tuple  # (numpy action, out, src1, src2, constant) calls on slot row slices
     n_stage: int   # staging rows needed past n_rows
     spare: dict    # width -> (slot array, its bound calls) of the last plain run, if small
 
 
 def _rows(idx):
-    """A slice for an arithmetic progression of rows with a nonzero step,
-    else an index array."""
-    idx = np.asarray(idx, dtype=np.intp)
-    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if step and np.all(np.diff(idx) == step):
-        stop = int(idx[-1]) + (1 if step > 0 else -1)
-        return slice(int(idx[0]), stop if stop >= 0 else None, step)
-    return idx
+    """A slice for a nonzero-step arithmetic progression of rows, else an index array."""
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if step and all(b - a == step for a, b in zip(idx, idx[1:])):
+        stop = idx[-1] + (1 if step > 0 else -1)
+        return slice(idx[0], stop if stop >= 0 else None, step)
+    return np.array(idx, dtype=np.intp)
 
 
 def _compile_waves(sched: Schedule) -> CompiledWaves:
@@ -463,14 +465,11 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
                     at = stage + sum(map(len, gathered))
                     gathered.append(src)
                     srcs[k] = slice(at, at + len(src))
-            calls.append((_OPCODES[code].numpy, (waves[-1].dst, *srcs, const)))
+            calls.append((_OPCODES[code].numpy, waves[-1].dst, *srcs, const))
         if gathered:
             rows = np.concatenate(gathered)
             n_stage = max(n_stage, stage + len(rows) - n_rows)
-            # in range and apart from the rows read, "clip" writes straight to
-            # out; the default mode copies through a buffer first
-            layout.append((np.ndarray.take, (slice(0, first), rows, 0,
-                                             slice(stage, stage + len(rows)), "clip")))
+            layout.append((_np_take, slice(stage, stage + len(rows)), slice(0, first), None, rows))
         layout += calls
     out = [row[value[s]] for s in range(sched.out_base, sched.out_base + sched.n_out)]
     return CompiledWaves(tuple(waves), n_rows, np.array(out, dtype=np.intp), tuple(layout),
@@ -478,9 +477,11 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
 
 
 def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
-    """The layout's calls with each row slice made a view of the slot array
-    S, so a metered S meters every call."""
-    return [(fn, [S[a] if type(a) is slice else a for a in args]) for fn, args in cw.layout]
+    """The layout's calls on views of the slot array S. Only src1, the data
+    a metered product needs, is a view of S itself; the others are views of
+    S's plain ndarray, which keeps a metered run cheap."""
+    P = S.view(np.ndarray)
+    return [(fn, P[o], S[a], b if b is None else P[b], c) for fn, o, a, b, c in cw.layout]
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
@@ -493,8 +494,8 @@ def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
         S = np.empty_like(x, shape=(cw.n_rows + cw.n_stage, x.shape[1]))
         calls = _bind(cw, S)
     S[: x.shape[0]] = x
-    for fn, a in calls:
-        fn(*a)
+    for fn, o, a, b, c in calls:
+        fn(o, a, b, c)
     y = S.take(cw.out, axis=0)
     if plain and S.size <= _SPARE_ELEMENTS:
         cw.spare.clear()

@@ -577,7 +577,7 @@ def test_random_trees_are_linear(text, seed, batch):
 
 def test_threads_running_execute_at_once_match_the_serial_run():
     # csd and scaled, csd and unscaled share their approximate leaf schedules,
-    # so both threads run the same compiled waves at once, each at its own
+    # so the threads run the same compiled waves at once, at their own
     # block widths: the 31-point plans run waves at every batch, the
     # 1023-point ones their 31-point level. Each run needs its own slot array.
     rng = np.random.default_rng(11)
@@ -599,7 +599,8 @@ def test_threads_running_execute_at_once_match_the_serial_run():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        # two threads per job list, so runs at the same width meet too
+        threads = [threading.Thread(target=run, args=(k % 2,)) for k in range(4)]
         for t in threads:
             t.start()
         for t in threads:

@@ -452,7 +452,7 @@ def test_bound_wave_program_stays_within_its_call_budget(name):
     cw = SCHEDULES[name]().waves
     calls = schedule._bind(cw, np.empty((cw.n_rows + cw.n_stage, 33), dtype=np.complex128))
     assert len(calls) <= CALL_BUDGET[name]
-    gathers = sum(fn is np.ndarray.take for fn, _ in calls)
+    gathers = sum(call[0] is schedule._np_take for call in calls)
     assert len(calls) - gathers == len(cw.waves) == PROPAGATED[name][1]
 
 
