@@ -487,7 +487,7 @@ def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
     """Run the bound calls over a slot array whose first rows hold x. A
     plain block takes the spare of its width, if any: the pop hands it to
-    one run at a time. A metered block binds its own, so every call meters."""
+    one run at a time. A metered block binds its own, whose views carry x's tally."""
     plain = type(x) is np.ndarray
     S, calls = cw.spare.pop(x.shape[1], (None, None)) if plain else (None, None)
     if S is None:
