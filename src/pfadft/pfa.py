@@ -24,10 +24,16 @@ in-order prime-factor pass (Temperton, JCP 1985) in a rotating layout:
 
 So each grid value is written by the gather, by the leaf arithmetic and by
 one rotated or scattered write per level, with no transposed copy and no
-separate scale pass. The leaf calls always run right to left over the leaf
+separate scale pass. Where every level runs as waves on a small slot array
+(n = 1023 at batch 1), a plain input runs the pass as one program per tree
+and width, its numpy calls bound once (one codelet per plan, as in FFTW:
+Frigo & Johnson, Proc. IEEE 2005): each rotated write is one ``take`` into
+the next level's wave input rows, and the scatter one ``take`` into output
+order, then scaled. The leaf calls always run right to left over the leaf
 sequence, so every element goes through the same IEEE operations in any
-layout. The same pass counts operations: ``instrumented_count`` runs
-``execute`` on a metered array, with no second executor.
+layout or form. The same leaf calls count operations:
+``instrumented_count`` runs ``execute`` on a metered array, which takes the
+per-level pass, against a plain run.
 
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
@@ -55,6 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import schedule
 from .design import _SCALE_MODES, AssembledScale
 from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, _is_integer, a_stage_matrix,
                        derive_core, dft_matrix)
@@ -300,23 +307,6 @@ def fast_exact(n: int, x) -> np.ndarray:
     return _run_leaf(Leaf(n, "exact"), x)
 
 
-@lru_cache(maxsize=None)
-def _output_map(tree, mode: str):
-    """Output positions and scale values of the last leaf level's grid.
-
-    That grid holds the first leaf's axis, then the others in reverse
-    order (see ``_run_tree``); both arrays are (n_1, n / n_1[, 1]), and the
-    scale is None in mode "none".
-    """
-    lengths = [leaf.n for leaf in tree_leaves(tree)]
-    inverse = build_index_maps(lengths[0], *lengths[:0:-1]).inverse
-    positions, scale = inverse.reshape(lengths[0], -1), None
-    if mode != "none":
-        scale = _assembled_scale(tree, mode).values()[inverse].reshape(lengths[0], -1, 1)
-        scale.flags.writeable = False
-    return positions, scale
-
-
 def _run_tree(tree, mode: str, arr):
     """Apply the tree transform, scaled in ``mode``, to an (n, B) block in
     one pass of the rotating layout (see the module docstring). A level of
@@ -332,8 +322,11 @@ def _run_tree(tree, mode: str, arr):
             dest[r, :, b] = rows.transpose(1, 0, 2)
         run_numpy(leaf_schedule(leaf), y.reshape(leaf.n, n // leaf.n, B), rotate)
         y = dest
+    # the last level's grid holds the first leaf's axis, then the others reversed
+    inverse = build_index_maps(leaves[0].n, *(leaf.n for leaf in leaves[:0:-1])).inverse
+    positions = inverse.reshape(leaves[0].n, -1)
+    scale = None if mode == "none" else _assembled_scale(tree, mode).values()[positions, None]
     out = np.empty_like(arr)
-    positions, scale = _output_map(tree, mode)
 
     def scatter(r, b, rows):
         if scale is not None:
@@ -341,6 +334,50 @@ def _run_tree(tree, mode: str, arr):
         out[positions[:, r], b] = rows
     run_numpy(leaf_schedule(leaves[0]), y.reshape(leaves[0].n, n // leaves[0].n, B), scatter)
     return out
+
+
+#: tree -> {batch: program} of the tree's last run as a program
+_PROGRAMS = {}
+
+
+def _run_program(tree, mode: str, x: np.ndarray) -> np.ndarray:
+    """``_run_tree`` on a plain (n, B) block, bit for bit, as one program if
+    every level runs as waves on a slot array of at most ``_SPARE_ELEMENTS``
+    (see the module docstring). A run pops the tree's program of its width,
+    so runs never share one, and keeps its own for the tree's next run."""
+    n, B = x.shape
+    program = _PROGRAMS.get(tree, {}).pop(B, None)
+    if program is None:
+        leaves, calls, slots = tree_leaves(tree), [], []
+        # a schedule's waves are compiled only if its input and op rows fit
+        limit = schedule._SPARE_ELEMENTS
+        if any(cols > schedule.WAVE_COLUMNS or (s.n_in + len(s.ops)) * cols > limit
+               or (s.waves.n_rows + s.waves.n_stage) * cols > limit
+               for cols, s in ((n // leaf.n * B, leaf_schedule(leaf)) for leaf in leaves)):
+            return _run_tree(tree, mode, x)  # a tile level, or a slot array too large to keep
+        for leaf in reversed(leaves):  # bind each level's calls to a slot array of its own
+            cw = leaf_schedule(leaf).waves
+            S = np.empty((cw.n_rows + cw.n_stage, n // leaf.n * B), dtype=np.complex128)
+            if slots:  # output (i, r, b) of the level before is input (r, i, b) of this one
+                calls.append((schedule._np_take, S[: leaf.n].reshape(-1), slots[-1].reshape(-1),
+                              None, (at.T.reshape(-1, 1) + np.arange(B)).reshape(-1)))
+            slots.append(S)
+            calls += schedule._bind(cw, S)
+            # at[i, r]: the flat index in S of output row i, batch row r, column 0
+            at = cw.out[:, None] * S.shape[1] + np.arange(n // leaf.n) * B
+        inverse = build_index_maps(leaves[0].n, *(leaf.n for leaf in leaves[:0:-1])).inverse
+        program = (build_index_maps(*(leaf.n for leaf in reversed(leaves))).forward,
+                   slots[0][: leaves[-1].n].reshape(n, B), calls, S.reshape(-1),
+                   (at.ravel()[np.argsort(inverse)][:, None] + np.arange(B)).reshape(-1))
+    forward, head, calls, last, order = program
+    x.take(forward, 0, head, "clip")
+    for fn, o, a, b, c in calls:
+        fn(o, a, b, c)
+    y = last.take(order).reshape(n, B)
+    if mode != "none":
+        np.multiply(y, _assembled_scale(tree, mode).values()[:, None], out=y)
+    _PROGRAMS[tree] = {B: program}
+    return y
 
 
 def execute(plan_: ExecutionPlan, x) -> np.ndarray:
@@ -358,16 +395,16 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    y = _run_tree(plan_.tree, plan_.scale_mode, x)
+    y = (_run_program if type(x) is np.ndarray else _run_tree)(plan_.tree, plan_.scale_mode, x)
     return y[:, 0] if single else y
 
 
 def instrumented_count(plan_: ExecutionPlan) -> OpCount:
     """Run ``execute`` once on a metered signal and return what it charged.
 
-    The metered array (see ``pfadft.schedule.Metered``) takes the same
-    gather, waves or tiles, scatter and in-place scale as any other input,
-    and its output must equal the plain run's bit for bit.
+    The metered array (see ``pfadft.schedule.Metered``) takes the per-level
+    pass: gather, waves or tiles, scatter and in-place scale. Its output must
+    equal the plain run's, at batch 1 the program's, bit for bit.
     """
     rng = np.random.default_rng(0)
     n = plan_.n

@@ -27,12 +27,14 @@ the 31-point approximate kernel run as 34 wave calls and 15 gathers. The
 calls are laid out at compile time and bound to views of a slot array; as
 binding the 31-point kernel's 130 views costs about 50 us, a third of a
 run, a schedule keeps its last plain run's slot array of at most
-``_SPARE_ELEMENTS`` for its next run at that width. A wide block runs the
-list op by op over ``TILE`` (4096) column tiles of one reused slot array,
-which keeps the rows each op touches in cache; the ops read the input rows
-in place. Waves hold one row per op, so they lose once those rows outgrow
-the cache. Measured on a 2-vCPU Xeon (best of 15),
-waves against tiles take 0.27 against 1.33 ms for the 31-point approximate
+``_SPARE_ELEMENTS`` for its next run at that width. That serves the wave
+levels of plans with a tile level or a larger slot array; a plan whose slot
+arrays are all that small keeps its own (``pfadft.pfa``). A wide block runs
+the list op by op over ``TILE`` (4096) column tiles of one reused slot
+array, which keeps the rows each op touches in cache; the ops read the
+input rows in place. Waves hold one row per op, so they lose once those
+rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15), waves
+against tiles take 0.27 against 1.33 ms for the 31-point approximate
 kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
 at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
 and 0.30 against 0.29 ms), and the 3-point kernel ties throughout. So

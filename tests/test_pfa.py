@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import coprime_plans, random_complex, zero_sign_blocks
 from pfadft.complexity import count_plan
 from pfadft.exactdft import dft_matrix
-from pfadft import pfa
+from pfadft import pfa, schedule
 from pfadft.cli import cli_main
 from pfadft.pfa import (ExecutionPlan, Leaf, Node, apply_kernel_fast, assemble_scale,
                         build_index_maps, dense_matrix, execute, fast_exact,
@@ -580,11 +581,13 @@ def test_threads_running_execute_at_once_match_the_serial_run():
     # so the threads run the same compiled waves at once, at their own
     # block widths: the 31-point plans run waves at every batch, the
     # 1023-point ones their 31-point level. Each run needs its own slot array.
+    # hybrid-VI-csd shares the 31- and 11-point approximate schedules with
+    # csd, and exact runs beside them: at batch 1 each tree runs its own program.
     rng = np.random.default_rng(11)
     jobs = [[(plan(31, "csd"), 1), (plan(31, "csd"), 7), (plan(31, "csd"), 64),
-             (plan(1023, "csd"), 1), (plan(1023, "csd"), 7)],
+             (plan(1023, "csd"), 1), (plan(1023, "csd"), 7), (plan(1023, "hybrid-VI-csd"), 1)],
             [(plan(31, "scaled"), 64), (plan(31, "scaled"), 1), (plan(31, "scaled"), 7),
-             (plan(1023, "unscaled"), 7), (plan(1023, "unscaled"), 1)]]
+             (plan(1023, "unscaled"), 7), (plan(1023, "unscaled"), 1), (plan(1023, "exact"), 1)]]
     inputs = [[random_complex(rng, p.n, b).reshape(p.n, b) for p, b in job] for job in jobs]
     want = [[execute(p, x).tobytes() for (p, _), x in zip(job, xs)]
             for job, xs in zip(jobs, inputs)]
@@ -609,6 +612,124 @@ def test_threads_running_execute_at_once_match_the_serial_run():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+NAMED_1023 = ("exact", "exact-definition", "unscaled", "scaled", "csd") + tuple(
+    f"hybrid-{leg}-{mode}" for leg in ("I", "II", "III", "IV", "V", "VI")
+    for mode in ("scaled", "csd"))
+
+
+def _per_level_pass(p, x):
+    """``execute`` by the per-level pass that metered and tile-width blocks take."""
+    return pfa._run_tree(p.tree, p.scale_mode, x.reshape(p.n, -1)).reshape(x.shape)
+
+
+def _assert_program_matches_pass(p, rng, width=1):
+    blocks = [random_complex(rng, p.n, width).reshape(p.n, width),
+              *zero_sign_blocks(rng, p.n, width).values()]
+    for x in blocks + blocks[:1]:  # the last run reuses the kept program on stale rows
+        for z in (x, x[:, 0]) if width == 1 else (x,):
+            got, want = execute(p, z), _per_level_pass(p, z)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [f"1023/{v}" for v in NAMED_1023] + [
+    f"{n}/{v}" for n in (3, 11, 31) for v in NAMED_1023[:5]])
+def test_batch_1_program_matches_the_per_level_pass(name):
+    n, variant = name.split("/")
+    p = plan(int(n), variant)
+    _assert_program_matches_pass(p, np.random.default_rng(int(n)))
+    # every batch-1 plan keeps a program but the 1023-point exact-definition
+    # one, whose 31-point by-definition level's slot array is too large to keep
+    assert (1 in pfa._PROGRAMS.get(p.tree, {})) == (name != "1023/exact-definition")
+
+
+@pytest.mark.parametrize("kind", ["approx", "exact"])
+def test_programs_are_kept_only_within_the_spare_bound(kind):
+    # the widest block whose slot array, staging rows included, holds at
+    # most _SPARE_ELEMENTS runs as a kept program; one column more takes
+    # the per-level pass, which keeps no program
+    p = ExecutionPlan(Leaf(31, kind), "csd")
+    cw = leaf_schedule(Leaf(31, kind)).waves
+    widest = schedule._SPARE_ELEMENTS // (cw.n_rows + cw.n_stage)
+    rng = np.random.default_rng(widest)
+    for width in (widest, widest + 1):
+        pfa._PROGRAMS.pop(p.tree, None)
+        _assert_program_matches_pass(p, rng, width)
+        assert (width in pfa._PROGRAMS.get(p.tree, {})) == (width == widest)
+
+
+@settings(deadline=None, max_examples=25)
+@given(coprime_plans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_random_tree_programs_match_the_per_level_pass(text, seed, width):
+    _assert_program_matches_pass(plan_from_json(text), np.random.default_rng(seed), width)
+
+
+def test_plans_sharing_a_leaf_at_two_widths_bind_once(monkeypatch):
+    # plan(31, "csd") runs the 31-point approximate schedule at 1 column and
+    # plan(1023, "csd") at 33: each tree keeps its own program, so taking
+    # turns rebinds neither
+    rng = np.random.default_rng(5)
+    runs = [(plan(31, "csd"), random_complex(rng, 31)),
+            (plan(1023, "csd"), random_complex(rng, 1023))]
+    want = [_per_level_pass(p, x).tobytes() for p, x in runs]
+    binds = []
+    real = schedule._bind
+    monkeypatch.setattr(schedule, "_bind", lambda cw, S: (binds.append(cw), real(cw, S))[1])
+    monkeypatch.setattr(pfa, "_PROGRAMS", {})
+    for k in range(6):
+        for (p, x), w in zip(runs, want):
+            assert execute(p, x).tobytes() == w
+        if k == 0:
+            assert len(binds) == 1 + 3  # one bind per level on the first call of each
+    assert len(binds) == 4
+
+
+_FRESH_RUN = """
+import hashlib
+import numpy as np
+import pfadft
+rng = np.random.default_rng(9)
+x = rng.standard_normal(1023) + 1j * rng.standard_normal(1023)
+print(hashlib.sha256(pfadft.execute(pfadft.plan(1023, "csd"), x).tobytes()).hexdigest())
+"""
+
+
+def test_non_finite_batch_1_input_is_rejected_before_any_run(monkeypatch):
+    p = plan(1023, "csd")
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(1023) + 1j * rng.standard_normal(1023)
+    execute(p, x)  # keep a program for the rejected calls to leave alone
+    with monkeypatch.context() as m:
+        for name in ("_run_program", "_run_tree"):
+            m.setattr(pfa, name, lambda *a: pytest.fail("a pass ran on non-finite input"))
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            for width in (None, 1):
+                z = x.copy()
+                z[500] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    execute(p, z if width is None else z[:, None])
+    src = os.path.dirname(os.path.dirname(pfa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _FRESH_RUN], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(execute(p, x).tobytes()).hexdigest() == run.stdout.strip()
+
+
+@pytest.mark.parametrize("variant", ["csd", "unscaled", "exact"])
+def test_batch_1_outputs_are_fresh_arrays(variant):
+    p = plan(1023, variant)
+    rng = np.random.default_rng(12)
+    x, z = random_complex(rng, 1023), random_complex(rng, 1023)
+    first = execute(p, x)
+    kept = first.tobytes()
+    second = execute(p, z)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept  # the later call did not write into it
+    for slots in pfa._PROGRAMS[p.tree][1][1:4:2]:  # the first and last levels' slot arrays
+        assert not np.shares_memory(second, slots)
 
 
 @settings(deadline=None, max_examples=8)

@@ -12,7 +12,10 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
 every zero in the output, and then at batch 7 and 33, so each leaf
-schedule's waves run at new widths in the same process. It also saves the
+schedule's waves run at new widths in the same process. Each 1023-point
+plan then runs at batch 1 once more, after the 31-point plan of the same
+kind (``execute-b1-after-31``), so its kept batch-1 program is reused after
+another tree has run the 31-point leaf's schedule. It also saves the
 op stream of 16 compiled schedules, the 3-, 11- and 31-point approximate,
 exact and definition leaves and dense approximate kernels, and the 1-, 2-
 and 5-point exact leaves and the 5-point definition leaf, which compile by
@@ -64,6 +67,14 @@ def schedules(pfadft):
         yield f"{n}-{kind}", pfadft.pfa.leaf_schedule(pfadft.pfa.Leaf(n, kind))
 
 
+def kind_of_31(pfadft, p):
+    """The 31-point variant whose leaf and scale mode are p's 31-point leaf's."""
+    kind = next(leaf.kind for leaf in pfadft.pfa.tree_leaves(p.tree) if leaf.n == 31)
+    if kind == "approx":
+        return {"none": "unscaled", "exact": "scaled", "csd": "csd"}[p.scale_mode]
+    return {"exact": "exact", "definition": "exact-definition"}[kind]
+
+
 def complex_parts(re, im):
     """Complex array with exactly these parts, zero signs included."""
     return np.stack(np.broadcast_arrays(re, im), axis=-1).view(np.complex128)[..., 0]
@@ -102,6 +113,9 @@ def dump(src_root, out):
             put(f"{name}/execute-{kind}-b64", pfadft.execute(p, z))
         put(f"{name}/execute-b7", pfadft.execute(p, x[:, :7]))
         put(f"{name}/execute-b33", pfadft.execute(p, x[:, :33]))
+        if p.n == 1023:
+            pfadft.execute(pfadft.plan(31, kind_of_31(pfadft, p)), x[:31, :1])
+            put(f"{name}/execute-b1-after-31", pfadft.execute(p, x[:, :1]))
         put(f"{name}/dense", pfadft.dense_matrix(p))
         if p.scale_mode != "none":
             put(f"{name}/scale", pfadft.assemble_scale(p).values())
