@@ -359,8 +359,8 @@ def _run_program(tree, mode: str, x: np.ndarray) -> np.ndarray:
             cw = leaf_schedule(leaf).waves
             S = np.empty((cw.n_rows + cw.n_stage, n // leaf.n * B), dtype=np.complex128)
             if slots:  # output (i, r, b) of the level before is input (r, i, b) of this one
-                calls.append((schedule._np_take, S[: leaf.n].reshape(-1), slots[-1].reshape(-1),
-                              None, (at.T.reshape(-1, 1) + np.arange(B)).reshape(-1)))
+                calls.append(schedule._take(S[: leaf.n].reshape(-1), slots[-1].reshape(-1),
+                                            None, (at.T.reshape(-1, 1) + np.arange(B)).reshape(-1)))
             slots.append(S)
             calls += schedule._bind(cw, S)
             # at[i, r]: the flat index in S of output row i, batch row r, column 0
@@ -371,8 +371,8 @@ def _run_program(tree, mode: str, x: np.ndarray) -> np.ndarray:
                    (at.ravel()[np.argsort(inverse)][:, None] + np.arange(B)).reshape(-1))
     forward, head, calls, last, order = program
     x.take(forward, 0, head, "clip")
-    for fn, o, a, b, c in calls:
-        fn(o, a, b, c)
+    for fn, args in calls:
+        fn(*args)
     y = last.take(order).reshape(n, B)
     if mode != "none":
         np.multiply(y, _assembled_scale(tree, mode).values()[:, None], out=y)

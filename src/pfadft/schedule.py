@@ -2,7 +2,7 @@
 
 A kernel's fast algorithm is compiled once from its stage matrices into a
 flat operation list. One table keyed by opcode gives each operation its
-static cost and its vectorized numpy action, so the same list drives the
+static cost and the numpy call that runs it, so the same list drives the
 executor and the static operation count. The instrumented count runs the
 same executor on a ``Metered`` array: an ndarray subclass that charges each
 numpy call from the ufunc and the values of its constant operand, never
@@ -24,16 +24,27 @@ row, each op sits one level above its operands, and the ops of one level
 and opcode run as one numpy call. Operands whose rows form no arithmetic
 progression are copied first, by one gather per level, so the 721 ops of
 the 31-point approximate kernel run as 34 wave calls and 15 gathers. The
-calls are laid out at compile time and bound to views of a slot array; as
-binding the 31-point kernel's 130 views costs about 50 us, a third of a
-run, a schedule keeps its last plain run's slot array of at most
+calls are laid out at compile time and bound to views of a slot array, each
+as a numpy callable and its arguments with the output by position: a ufunc,
+or the slot array's own ``take`` for a gather, with no Python frame between
+(MULCC's spelled-out product excepted). Binding the 31-point kernel's 130
+views costs about 20 us, against about 65 us for its bound calls at 33
+columns, so a schedule keeps its last plain run's slot array of at most
 ``_SPARE_ELEMENTS`` for its next run at that width. That serves the wave
 levels of plans with a tile level or a larger slot array; a plan whose slot
-arrays are all that small keeps its own (``pfadft.pfa``). A wide block runs
-the list op by op over ``TILE`` (4096) column tiles of one reused slot
-array, which keeps the rows each op touches in cache; the ops read the
-input rows in place. Waves hold one row per op, so they lose once those
-rows outgrow the cache. Measured on a 2-vCPU Xeon (best of 15), waves
+arrays are all that small keeps its own (``pfadft.pfa``). Calls that are
+kept multiply by each MUL wave's constant column widened once into a
+C-contiguous block of the wave's shape, shared by every kept binding of
+the schedule at that width: numpy multiplies a (270, 33) complex block by
+it in about 7 us, against 13-17 us by the column, to the same bits. Calls
+bound for one run, and metered ones, keep the column, so the meter sees
+one constant per row.
+
+A wide block runs the list op by op over ``TILE`` (4096) column tiles of
+one reused slot array, which keeps the rows each op touches in cache; the
+ops read the input rows in place, each op one call from the same opcode
+table. Waves hold one row per op, so they lose once those rows outgrow the
+cache. Measured on a 2-vCPU Xeon (best of 15), waves
 against tiles take 0.27 against 1.33 ms for the 31-point approximate
 kernel at 64 columns, 1.24 against 1.61 ms at 384 and 2.05 against 1.75 ms
 at 512; the 11-point kernel ties at 512 to 768 columns (0.21 against 0.24
@@ -60,7 +71,7 @@ Cost conventions (used repo-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, NamedTuple
 
@@ -141,9 +152,9 @@ class Schedule:
 
     @cached_property
     def steps(self) -> tuple:
-        """The list as (numpy action, dst, src1, src2, constant) steps of the
+        """The list as (call builder, dst, src1, src2, constant) steps of the
         op-by-op tile form."""
-        return tuple((_OPCODES[op.code].numpy, op.dst, op.src1, op.src2, op.c)
+        return tuple((_OPCODES[op.code].call, op.dst, op.src1, op.src2, op.c)
                      for op in self.ops)
 
 
@@ -249,6 +260,12 @@ class Metered(np.ndarray):
       * multiply by any other real or pure imaginary constant: 2 mults, and
         by a general complex constant 3 mults + 3 adds;
       * every other ufunc (negation, comparisons, reductions): free.
+
+    A product's charge is still computed from its constant's values by
+    ``_mul_charge``. It is memoized under the exact bytes of the constant,
+    for constants of at most ``_MEMO_VALUES`` values, in an LRU of
+    ``_MEMO_CONSTANTS``: a wave schedule multiplies by the same constant
+    column at every run.
     """
 
     def __array_finalize__(self, obj):
@@ -273,9 +290,8 @@ class Metered(np.ndarray):
             if len(consts) != 1:
                 raise TypeError("a metered product needs one constant operand")
             c = np.asarray(consts[0], dtype=np.complex128)
-            values, reps = np.unique(c, return_counts=True)
-            per = np.array([_mul_charge(v) for v in values.tolist()]).T @ reps
-            _charge(self.tally, per.tolist(), target.size // c.size)
+            per = _values_charge(c) if c.size > _MEMO_VALUES else _memo_charge(c.tobytes())
+            _charge(self.tally, per, target.size // c.size)
         return target
 
     def op_count(self) -> OpCount:
@@ -302,6 +318,23 @@ def _naf_weight(m: int) -> int:
     return ((3 * m ^ m) >> 1).bit_count()
 
 
+def _values_charge(c: np.ndarray) -> tuple:
+    """(mults, adds, shifts) of multiplying one complex value by each value of c, summed."""
+    values, reps = np.unique(c, return_counts=True)
+    return tuple((np.array([_mul_charge(v) for v in values.tolist()]).T @ reps).tolist())
+
+
+#: most values of a product constant whose charge is memoized, and most constants memoized
+_MEMO_VALUES = 1024
+_MEMO_CONSTANTS = 64
+
+
+@lru_cache(maxsize=_MEMO_CONSTANTS)
+def _memo_charge(key: bytes) -> tuple:
+    """``_values_charge`` of the complex128 constant whose bytes are key."""
+    return _values_charge(np.frombuffer(key, dtype=np.complex128))
+
+
 def _mul_charge(c: complex) -> tuple:
     """(mults, adds, shifts) of multiplying one complex value by c."""
     re, im = abs(c.real), abs(c.imag)
@@ -325,7 +358,8 @@ def _mul_charge(c: complex) -> tuple:
 
 class _OpKind(NamedTuple):
     cost: Callable    # op constant -> static OpCount
-    numpy: Callable   # (out, src1, src2, constant) -> None, writes out; rows or blocks of rows
+    call: Callable    # (out, src1, src2, constant) -> (numpy callable, its arguments), a call
+                      # that writes out; on rows or blocks of rows
 
 
 _FREE = OpCount()
@@ -339,13 +373,6 @@ def _mul_cost(c: complex) -> OpCount:
     halves = parts.count(0.5)
     mults = len(parts) - halves - parts.count(1.0)
     return OpCount(2 * mults, 2 * (len(parts) - 1), 2 * halves)
-
-
-def _np_cp(out, a, b, sign):
-    if sign > 0:
-        np.copyto(out, a)
-    else:
-        np.negative(a, out=out)
 
 
 def _np_mulcc(out, z, b, c):
@@ -363,18 +390,20 @@ def _np_mulcc(out, z, b, c):
     np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out.view(np.ndarray))
 
 
-def _np_take(out, a, b, rows):
+def _take(out, a, b, rows):
     # the rows are in range and apart from out, so "clip" writes straight to
     # out; the default mode copies through a buffer first
-    a.take(rows, 0, out, "clip")
+    return a.take, (rows, 0, out, "clip")
 
 
+# every call but MULCC's is one numpy ufunc, its output passed by position
 _OPCODES = {
-    CP: _OpKind(lambda c: _FREE, _np_cp),
-    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.add(a, b, out=out)),
-    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: np.subtract(a, b, out=out)),
-    MUL: _OpKind(_mul_cost, lambda out, a, b, c: np.multiply(a, c, out=out)),
-    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), _np_mulcc),
+    CP: _OpKind(lambda c: _FREE, lambda out, a, b, c: (
+        np.positive if c > 0 else np.negative, (a, out))),
+    ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: (np.add, (a, b, out))),
+    SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: (np.subtract, (a, b, out))),
+    MUL: _OpKind(_mul_cost, lambda out, a, b, c: (np.multiply, (a, c, out))),
+    MULCC: _OpKind(lambda c: OpCount(3, 3, 0), lambda out, a, b, c: (_np_mulcc, (out, a, b, c))),
 }
 
 
@@ -410,9 +439,10 @@ class CompiledWaves(NamedTuple):
     waves: tuple
     n_rows: int    # the n_in inputs, then each wave's rows in wave order
     out: np.ndarray  # rows holding the n_out outputs
-    layout: tuple  # (numpy action, out, src1, src2, constant) calls on slot row slices
+    layout: tuple  # (call builder, out, src1, src2, constant) calls on slot row slices
     n_stage: int   # staging rows needed past n_rows
     spare: dict    # width -> (slot array, its bound calls) of the last plain run, if small
+    wide: dict     # width -> {layout position: MUL constants widened} of the last kept binding
 
 
 def _rows(idx):
@@ -467,23 +497,50 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
                     at = stage + sum(map(len, gathered))
                     gathered.append(src)
                     srcs[k] = slice(at, at + len(src))
-            calls.append((_OPCODES[code].numpy, waves[-1].dst, *srcs, const))
+            calls.append((_OPCODES[code].call, waves[-1].dst, *srcs, const))
         if gathered:
             rows = np.concatenate(gathered)
             n_stage = max(n_stage, stage + len(rows) - n_rows)
-            layout.append((_np_take, slice(stage, stage + len(rows)), slice(0, first), None, rows))
+            layout.append((_take, slice(stage, stage + len(rows)), slice(0, first), None, rows))
         layout += calls
     out = [row[value[s]] for s in range(sched.out_base, sched.out_base + sched.n_out)]
     return CompiledWaves(tuple(waves), n_rows, np.array(out, dtype=np.intp), tuple(layout),
-                         n_stage, {})
+                         n_stage, {}, {})
+
+
+def _kept(S: np.ndarray) -> bool:
+    """Whether the calls bound to slot array S are kept for later runs: S is
+    plain and holds at most ``_SPARE_ELEMENTS``."""
+    return type(S) is np.ndarray and S.size <= _SPARE_ELEMENTS
+
+
+def _widened(cw: CompiledWaves, width: int) -> dict:
+    """Each MUL wave's constant column widened to a C-contiguous, read-only
+    (rows, width) block, by layout position. Every kept binding of cw at
+    that width shares them; cw keeps the blocks of the last width asked."""
+    wide = cw.wide.get(width)
+    if wide is None:
+        wide = {}
+        for k, (call, _, _, _, c) in enumerate(cw.layout):
+            if call is _OPCODES[MUL].call:
+                wide[k] = np.ascontiguousarray(np.broadcast_to(c, (len(c), width)))
+                wide[k].flags.writeable = False
+        cw.wide.clear()
+        cw.wide[width] = wide
+    return wide
 
 
 def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
-    """The layout's calls on views of the slot array S. Only src1, the data
-    a metered product needs, is a view of S itself; the others are views of
-    S's plain ndarray, which keeps a metered run cheap."""
+    """The layout's calls on views of the slot array S, as (numpy callable,
+    arguments) pairs. Only src1, the data a metered product needs, is a view
+    of S itself; the others are views of S's plain ndarray, which keeps a
+    metered run cheap. Calls that are kept multiply by ``_widened``
+    constants, which numpy multiplies about twice as fast as the column,
+    to the same bits."""
     P = S.view(np.ndarray)
-    return [(fn, P[o], S[a], b if b is None else P[b], c) for fn, o, a, b, c in cw.layout]
+    wide = _widened(cw, S.shape[1]) if _kept(S) else {}
+    return [call(P[o], S[a], b if b is None else P[b], wide.get(k, c))
+            for k, (call, o, a, b, c) in enumerate(cw.layout)]
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
@@ -496,10 +553,10 @@ def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
         S = np.empty_like(x, shape=(cw.n_rows + cw.n_stage, x.shape[1]))
         calls = _bind(cw, S)
     S[: x.shape[0]] = x
-    for fn, o, a, b, c in calls:
-        fn(o, a, b, c)
+    for fn, args in calls:
+        fn(*args)
     y = S.take(cw.out, axis=0)
-    if plain and S.size <= _SPARE_ELEMENTS:
+    if _kept(S):
         cw.spare.clear()
         cw.spare[x.shape[1]] = S, calls
     return y
@@ -521,8 +578,9 @@ def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
             r, b = slice(r0, min(r0 + k, rows)), slice(b0, min(b0 + w, B))
             s = tile[:, : r.stop - r0, : b.stop - b0]
             v = [*x[:, r, b], *s, None]  # slot -> its rows; slot -1 (no operand) -> None
-            for fn, dst, a, c, const in sched.steps:
-                fn(v[dst], v[a], v[c], const)
+            for call, dst, a, c, const in sched.steps:
+                fn, args = call(v[dst], v[a], v[c], const)
+                fn(*args)
             write(r, b, s[sched.out_base - n_in: sched.out_base - n_in + sched.n_out])
 
 

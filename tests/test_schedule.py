@@ -6,11 +6,12 @@ import pytest
 
 from conftest import zero_sign_blocks
 from pfadft import schedule
+from pfadft.complexity import COMPOSED_VARIANTS
 from pfadft.design import AssembledScale
 from pfadft.dyadic import _all_codes
 from pfadft.exactdft import a_stage_matrix, derive_core, dft_matrix
 from pfadft.kernels import approx_dense_schedule, factorization, kernel
-from pfadft.pfa import Leaf, leaf_schedule
+from pfadft.pfa import Leaf, assemble_scale, leaf_schedule, plan
 from pfadft.schedule import (ADD, CP, MUL, MULCC, SUB, TILE, WAVE_COLUMNS, Metered, Op,
                              OpCount, Schedule, _classify, _naf_weight, _np_mulcc,
                              compile_stages, metered, run_numpy)
@@ -447,13 +448,47 @@ def test_wave_reads_take_descending_progressions_as_slices():
 CALL_BUDGET = {"31-approx": 50, "11-approx": 20, "3-approx": 8}
 
 
+def _is_take(fn):
+    """Whether a bound callable is an ndarray's own ``take``."""
+    return getattr(fn, "__name__", None) == "take" and isinstance(
+        getattr(fn, "__self__", None), np.ndarray)
+
+
 @pytest.mark.parametrize("name", sorted(CALL_BUDGET))
 def test_bound_wave_program_stays_within_its_call_budget(name):
     cw = SCHEDULES[name]().waves
     calls = schedule._bind(cw, np.empty((cw.n_rows + cw.n_stage, 33), dtype=np.complex128))
     assert len(calls) <= CALL_BUDGET[name]
-    gathers = sum(call[0] is schedule._np_take for call in calls)
+    gathers = sum(_is_take(fn) for fn, _ in calls)
     assert len(calls) - gathers == len(cw.waves) == PROPAGATED[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_bound_calls_are_direct_numpy_calls(name):
+    # every bound call is a ufunc or an ndarray's take, called on its
+    # arguments with the output by position; MULCC's spelled-out product is
+    # the one Python-level function. A kept binding (plain, at most
+    # _SPARE_ELEMENTS) multiplies by each MUL wave's constants widened to a
+    # C-contiguous, read-only block, which kept bindings at one width share;
+    # a metered binding keeps the constant column
+    cw = SCHEDULES[name]().waves
+    width = 3
+    kept = [[args[1] for fn, args in schedule._bind(cw, np.empty(
+        (cw.n_rows + cw.n_stage, width), dtype=np.complex128)) if fn is np.multiply]
+        for _ in range(2)]
+    assert all(a is b for a, b in zip(*kept))
+    for S, widened in ((np.empty((cw.n_rows + cw.n_stage, width), dtype=np.complex128), True),
+                       (metered(np.empty((cw.n_rows + cw.n_stage, width))), False)):
+        calls = schedule._bind(cw, S)
+        for fn, args in calls:
+            assert isinstance(fn, np.ufunc) or _is_take(fn) or fn is _np_mulcc, fn
+        products = [args for fn, args in calls if fn is np.multiply]
+        assert len(products) == sum(w.code == MUL for w in cw.waves)
+        for (a, c, out), w in zip(products, [w for w in cw.waves if w.code == MUL]):
+            assert c.shape == ((len(w.ops), width) if widened else (len(w.ops), 1))
+            assert c.flags.c_contiguous and (c == w.const).all()
+            assert c.flags.writeable != widened
+            assert out.shape == (len(w.ops), width)
 
 
 def test_wave_schedule_keeps_one_small_spare_slot_array():
@@ -577,3 +612,88 @@ def test_meter_counts_the_tiled_form(name, monkeypatch):
     assert calls == [1] and type(out) is Metered
     assert m.op_count() == width * sched.static_count
     assert out.tobytes() == run_numpy(sched, x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the meter's memoized product charges
+
+def _unmemoized_charge(c):
+    """The charge of one product by each value of c, summed over np.unique's counts."""
+    values, reps = np.unique(np.asarray(c, dtype=np.complex128), return_counts=True)
+    return OpCount(*(np.array([schedule._mul_charge(v) for v in values.tolist()]).T @ reps))
+
+
+def _metered_product(c, width):
+    """What the meter charges for one product of a (len(c), width) block by c."""
+    m = metered(np.ones((np.size(c), width)))
+    m * np.reshape(c, (-1, 1))
+    return m.op_count()
+
+
+def _mixed_constants(rng, size):
+    """Random constants from every price class, zeros of both signs in either part."""
+    classes = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               1, -1, 1j, -1j, complex(-0.0, 1), complex(1, -0.0), complex(-1, 0.0),
+               0.5, -0.5, 0.5j, -0.5j, complex(-0.0, -0.5), complex(0.5, -0.0),
+               *(p + 1j * q for p in (0.5, 1, -0.5, -1) for q in (0.5, 1, -0.5, -1)),
+               119 / 128, -27 / 32, 0.75, 1.5, 0.3, -0.3j, 0.75j, 0.8 - 0.6j, -0.25 + 0.1j]
+    return np.array(classes, dtype=np.complex128)[rng.integers(0, len(classes), size)]
+
+
+def _memo_constants():
+    """Every leaf schedule's MUL-wave constants, every 1023-point plan's
+    scale and random constants mixing every price class."""
+    consts = {f"{name}/wave{k}": w.const for name in sorted(SCHEDULES)
+              for k, w in enumerate(SCHEDULES[name]().waves.waves) if w.code == MUL}
+    for v, _ in COMPOSED_VARIANTS:
+        p = plan(1023, v)
+        if p.scale_mode != "none":
+            consts[f"1023/{v}/scale"] = assemble_scale(p).values()
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 64, 1024):
+        consts[f"random/{size}"] = _mixed_constants(rng, size)
+    return consts
+
+
+def test_memoized_charges_equal_the_unmemoized_formula():
+    consts = _memo_constants()
+    assert sum(k.endswith("/scale") for k in consts) == 14  # every 1023-point plan with a scale
+    assert all(c.size <= schedule._MEMO_VALUES for c in consts.values())
+    schedule._memo_charge.cache_clear()
+    for width in (1, 5, 1, 5):  # cold, then from the memo
+        for name, c in consts.items():
+            assert _metered_product(c, width) == width * _unmemoized_charge(c), name
+    assert schedule._memo_charge.cache_info().hits > 0
+    # equal values held in different arrays, contiguous or strided, with any
+    # zero signs, charge the same
+    c = consts["random/64"]
+    flipped = np.where(c == 0, np.copysign(0.0, -c.real) + 1j * np.copysign(0.0, -c.imag), c)
+    for other in (c.copy(), np.repeat(c, 2)[::2], np.asfortranarray(c[:, None]), flipped):
+        assert other is not c and (other.ravel() == c).all()
+        assert _metered_product(other, 3) == _metered_product(c, 3) == 3 * _unmemoized_charge(c)
+
+
+def test_memoized_charges_stay_within_their_bound():
+    rng = np.random.default_rng(12)
+    for k in range(3 * schedule._MEMO_CONSTANTS):
+        c = _mixed_constants(rng, 1 + k % 40)
+        assert _metered_product(c, 2) == 2 * _unmemoized_charge(c)
+        assert schedule._memo_charge.cache_info().currsize <= schedule._MEMO_CONSTANTS
+    assert schedule._memo_charge.cache_info().maxsize == schedule._MEMO_CONSTANTS
+    # a constant of more values is charged from its values and never memoized
+    large = _mixed_constants(rng, schedule._MEMO_VALUES + 1)
+    before = schedule._memo_charge.cache_info()
+    assert _metered_product(large, 2) == 2 * _unmemoized_charge(large)
+    assert schedule._memo_charge.cache_info()[:2] == before[:2]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_metered_runs_after_a_warm_memo_charge_the_static_count(name):
+    sched = SCHEDULES[name]()
+    rng = np.random.default_rng(13)
+    for width in (1, 7, 33):  # the first run fills the memo for the others
+        x = _awkward_block(rng, sched.n_in, width)
+        m = metered(x)
+        out = run_numpy(sched, m)
+        assert m.op_count() == width * sched.static_count, width
+        assert out.tobytes() == run_numpy(sched, x).tobytes()

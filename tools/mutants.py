@@ -29,6 +29,8 @@ MUTANTS = {
     "meter-adds-doubled": (SCHEDULE, "_charge(self.tally, (0, 2, 0), target.size)",
                            "_charge(self.tally, (0, 4, 0), target.size)"),
     "mul-shifts-doubled": (SCHEDULE, "2 * halves)", "4 * halves)"),
+    # the meter memoizes a product's charge, which must not hide a wrong price
+    "meter-half-shifts-doubled": (SCHEDULE, "return (0, 0, 2)", "return (0, 0, 4)"),
 }
 
 
