@@ -15,25 +15,25 @@ in-order prime-factor pass (Temperton, JCP 1985) in a rotating layout:
   * the input is gathered once into the grid with the leaf axes in
     reverse order and the batch innermost;
   * each leaf level, the last leaf first, reads its input as the leading
-    axis of a contiguous (n_l, n / n_l, batch) block, and writes each tile
-    of its output rotated, that axis moved behind the others, into the
-    block that is the next level's contiguous input;
-  * the first leaf's level, which runs last, multiplies each output tile
-    by the scale, taken in its grid order, and scatters it straight to
-    the output positions.
+    axis of a contiguous (n_l, n / n_l, batch) block and writes its output
+    rotated, that axis moved behind the others, into the block that is the
+    next level's contiguous input;
+  * the first leaf's level, which runs last, writes its output in output
+    order, multiplied by the scale.
 
-So each grid value is written by the gather, by the leaf arithmetic and by
-one rotated or scattered write per level, with no transposed copy and no
-separate scale pass. Where every level runs as waves on a small slot array
-(n = 1023 at batch 1), a plain input runs the pass as one program per tree
-and width, its numpy calls bound once (one codelet per plan, as in FFTW:
-Frigo & Johnson, Proc. IEEE 2005): each rotated write is one ``take`` into
-the next level's wave input rows, and the scatter one ``take`` into output
-order, then scaled. The leaf calls always run right to left over the leaf
-sequence, so every element goes through the same IEEE operations in any
-layout or form. The same leaf calls count operations:
-``instrumented_count`` runs ``execute`` on a metered array, which takes the
-per-level pass, against a plain run.
+A wave level (``schedule.as_waves``) reads its block as the first rows of
+its slot array and writes by one ``take`` by a flat index, then on the last
+level multiplies by the scale in place; a tile level writes each tile
+rotated, or on the last level scales it and scatters it to the output. So
+each grid value is written by the gather, the leaf arithmetic and one write
+per level, with no transposed copy. Where a plain block runs every level as
+waves on slot arrays small enough to keep (n = 1023 at batch 1), its calls
+are kept as the tree's program for that width and later runs replay them
+(one codelet per plan, as in FFTW: Frigo & Johnson, Proc. IEEE 2005). The
+leaf calls always run right to left over the leaf sequence, so every
+element goes through the same IEEE operations in any layout or form. The
+same leaf calls count operations: ``instrumented_count`` runs ``execute``
+on a metered array, which keeps no calls, against a plain run.
 
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
@@ -66,7 +66,7 @@ from .design import _SCALE_MODES, AssembledScale
 from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, _is_integer, a_stage_matrix,
                        derive_core, dft_matrix)
 from .kernels import factorization, kernel, kernel_eta
-from .schedule import OpCount, Schedule, compile_stages, metered, run_numpy
+from .schedule import OpCount, Schedule, compile_stages, metered
 
 #: rows of a plan's matrix built at a time by ``dense_matrix`` and the row
 #: tables of ``pfadft.analysis``, which bounds their memory
@@ -292,7 +292,7 @@ def _run_leaf(leaf: Leaf, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 0 or x.shape[0] != leaf.n:
         raise ValueError(f"input of shape {x.shape} does not have length n={leaf.n}")
-    return run_numpy(leaf_schedule(leaf), x.reshape(leaf.n, x.size // leaf.n)).reshape(x.shape)
+    return _run_tree(leaf, "none", x.reshape(leaf.n, x.size // leaf.n)).reshape(x.shape)
 
 
 def apply_kernel_fast(n: int, x) -> np.ndarray:
@@ -307,77 +307,89 @@ def fast_exact(n: int, x) -> np.ndarray:
     return _run_leaf(Leaf(n, "exact"), x)
 
 
-def _run_tree(tree, mode: str, arr):
-    """Apply the tree transform, scaled in ``mode``, to an (n, B) block in
-    one pass of the rotating layout (see the module docstring). A level of
-    an m-point leaf reads an (m, R, B) block and writes an (R, m, B) one; a
-    metered block stays metered throughout."""
-    leaves = tree_leaves(tree)
-    n, B = arr.shape
-    y = arr[build_index_maps(*(leaf.n for leaf in reversed(leaves))).forward]
-    for leaf in reversed(leaves[1:]):
-        dest = np.empty_like(arr, shape=(n // leaf.n, leaf.n, B))
-
-        def rotate(r, b, rows, dest=dest):
-            dest[r, :, b] = rows.transpose(1, 0, 2)
-        run_numpy(leaf_schedule(leaf), y.reshape(leaf.n, n // leaf.n, B), rotate)
-        y = dest
-    # the last level's grid holds the first leaf's axis, then the others reversed
-    inverse = build_index_maps(leaves[0].n, *(leaf.n for leaf in leaves[:0:-1])).inverse
-    positions = inverse.reshape(leaves[0].n, -1)
-    scale = None if mode == "none" else _assembled_scale(tree, mode).values()[positions, None]
-    out = np.empty_like(arr)
-
-    def scatter(r, b, rows):
-        if scale is not None:
-            np.multiply(rows, scale[:, r], out=rows)
-        out[positions[:, r], b] = rows
-    run_numpy(leaf_schedule(leaves[0]), y.reshape(leaves[0].n, n // leaves[0].n, B), scatter)
-    return out
-
-
-#: tree -> {batch: program} of the tree's last run as a program
+#: tree -> {batch: program} of the tree's last run that kept its calls
 _PROGRAMS = {}
 
 
-def _run_program(tree, mode: str, x: np.ndarray) -> np.ndarray:
-    """``_run_tree`` on a plain (n, B) block, bit for bit, as one program if
-    every level runs as waves on a slot array of at most ``_SPARE_ELEMENTS``
-    (see the module docstring). A run pops the tree's program of its width,
-    so runs never share one, and keeps its own for the tree's next run."""
+def _level(leaf: Leaf, x: np.ndarray):
+    """A level's slot array if its block runs as waves, else None, and its
+    input rows as a C-contiguous (n, B) block like x."""
+    sched, (n, B) = leaf_schedule(leaf), x.shape
+    if not schedule.as_waves(sched, n // leaf.n * B):
+        return None, np.empty_like(x, order="C")
+    S = np.empty_like(x, shape=(sched.waves.n_rows + sched.waves.n_stage, n // leaf.n * B),
+                      order="C")
+    return S, S[: leaf.n].reshape(n, B)
+
+
+def _columns(at: np.ndarray, B: int) -> np.ndarray:
+    """The flat indices of the B columns that start at each flat index in at."""
+    return at.reshape(-1) if B == 1 else np.add.outer(at, np.arange(B)).reshape(-1)
+
+
+def _run_tree(tree, mode: str, x):
+    """Apply the tree transform, scaled in ``mode``, to an (n, B) block in
+    one pass of the rotating layout (see the module docstring). A level of
+    an m-point leaf reads an (m, R, B) block and writes an (R, m, B) one; a
+    metered block stays metered throughout. A plain run pops the tree's
+    program of its width, so runs never share one, and keeps its own if
+    every level ran as waves on a slot array that ``schedule._kept`` takes."""
     n, B = x.shape
-    program = _PROGRAMS.get(tree, {}).pop(B, None)
-    if program is None:
-        leaves, calls, slots = tree_leaves(tree), [], []
-        # a schedule's waves are compiled only if its input and op rows fit
-        limit = schedule._SPARE_ELEMENTS
-        if any(cols > schedule.WAVE_COLUMNS or (s.n_in + len(s.ops)) * cols > limit
-               or (s.waves.n_rows + s.waves.n_stage) * cols > limit
-               for cols, s in ((n // leaf.n * B, leaf_schedule(leaf)) for leaf in leaves)):
-            return _run_tree(tree, mode, x)  # a tile level, or a slot array too large to keep
-        for leaf in reversed(leaves):  # bind each level's calls to a slot array of its own
-            cw = leaf_schedule(leaf).waves
-            S = np.empty((cw.n_rows + cw.n_stage, n // leaf.n * B), dtype=np.complex128)
-            if slots:  # output (i, r, b) of the level before is input (r, i, b) of this one
-                calls.append(schedule._take(S[: leaf.n].reshape(-1), slots[-1].reshape(-1),
-                                            None, (at.T.reshape(-1, 1) + np.arange(B)).reshape(-1)))
-            slots.append(S)
-            calls += schedule._bind(cw, S)
-            # at[i, r]: the flat index in S of output row i, batch row r, column 0
-            at = cw.out[:, None] * S.shape[1] + np.arange(n // leaf.n) * B
-        inverse = build_index_maps(leaves[0].n, *(leaf.n for leaf in leaves[:0:-1])).inverse
-        program = (build_index_maps(*(leaf.n for leaf in reversed(leaves))).forward,
-                   slots[0][: leaves[-1].n].reshape(n, B), calls, S.reshape(-1),
-                   (at.ravel()[np.argsort(inverse)][:, None] + np.arange(B)).reshape(-1))
-    forward, head, calls, last, order = program
-    x.take(forward, 0, head, "clip")
-    for fn, args in calls:
-        fn(*args)
-    y = last.take(order).reshape(n, B)
-    if mode != "none":
-        np.multiply(y, _assembled_scale(tree, mode).values()[:, None], out=y)
-    _PROGRAMS[tree] = {B: program}
-    return y
+    levels = tree_leaves(tree)[::-1]  # the last leaf's level runs first
+    scale = None if mode == "none" else _assembled_scale(tree, mode).values()
+    program = _PROGRAMS.get(tree, {}).pop(B, None) if type(x) is np.ndarray else None
+    if program is not None:
+        forward, head, calls, last, order = program
+        x.take(forward, 0, head, "clip")
+        schedule._call(calls)
+    else:
+        forward = build_index_maps(*(leaf.n for leaf in levels)).forward
+        # the last level's grid holds the first leaf's axis, then the others reversed
+        inverse = build_index_maps(levels[-1].n, *(leaf.n for leaf in levels[:-1])).inverse
+        S, rows = _level(levels[0], x)
+        x.take(forward, 0, rows, "clip")
+        head, calls, last = rows, [], None  # calls run so far while every level keeps its own
+        for k, leaf in enumerate(levels):
+            m, R = leaf.n, n // leaf.n
+            S_next, nxt = _level(levels[k + 1], x) if k + 1 < len(levels) else (None, None)
+            if S is None or not schedule._kept(S):
+                head = calls = None
+            if S is None:  # tiles, whose outputs rotate into nxt, or scale and scatter
+                if nxt is not None:
+                    def write(r, b, y, dest=nxt.reshape(R, m, B)):
+                        dest[r, :, b] = y.transpose(1, 0, 2)
+                else:
+                    out, positions = np.empty_like(x, order="C"), inverse.reshape(m, R)
+                    tile_scale = None if scale is None else scale[positions, None]
+
+                    def write(r, b, y):
+                        if tile_scale is not None:
+                            np.multiply(y, tile_scale[:, r], out=y)
+                        out[positions[:, r], b] = y
+                schedule._run_tiles(leaf_schedule(leaf), rows.reshape(m, R, B), write)
+            else:
+                cw = leaf_schedule(leaf).waves
+                # at[i, r]: the flat index in S of output row i, batch row r, column 0
+                at = cw.out[:, None] * S.shape[1] + np.arange(R) * B
+                ran = schedule._bind(cw, S)
+                if nxt is not None:  # output (i, r, b) is the next level's input (r, i, b)
+                    ran.append(schedule._take(nxt.reshape(-1), S.reshape(-1), None,
+                                              _columns(at.T, B)))
+                else:  # output (i, r, b) lands at inverse[i * R + r]
+                    last, order = S.reshape(-1), np.empty(n, dtype=np.intp)
+                    order[inverse] = at.reshape(-1)
+                    order = _columns(order, B)
+                schedule._call(ran)
+                calls = None if calls is None else calls + ran
+                del ran  # no view of this S past its level, unless kept
+            S, rows = S_next, nxt
+    if last is not None:  # the last level ran as waves
+        out = last.take(order).reshape(n, B)
+        if scale is not None:
+            np.multiply(out, scale[:, None], out=out)
+    if calls is not None:
+        _PROGRAMS[tree] = {B: (forward, head, calls, last, order)}
+    return out
 
 
 def execute(plan_: ExecutionPlan, x) -> np.ndarray:
@@ -395,16 +407,16 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    y = (_run_program if type(x) is np.ndarray else _run_tree)(plan_.tree, plan_.scale_mode, x)
+    y = _run_tree(plan_.tree, plan_.scale_mode, x)
     return y[:, 0] if single else y
 
 
 def instrumented_count(plan_: ExecutionPlan) -> OpCount:
     """Run ``execute`` once on a metered signal and return what it charged.
 
-    The metered array (see ``pfadft.schedule.Metered``) takes the per-level
-    pass: gather, waves or tiles, scatter and in-place scale. Its output must
-    equal the plain run's, at batch 1 the program's, bit for bit.
+    The metered array (see ``pfadft.schedule.Metered``) runs the same pass
+    as a plain one: gather, waves or tiles, rotated writes and the scale. Its
+    output must equal the plain run's bit for bit.
     """
     rng = np.random.default_rng(0)
     n = plan_.n

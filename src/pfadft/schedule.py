@@ -29,11 +29,10 @@ as a numpy callable and its arguments with the output by position: a ufunc,
 or the slot array's own ``take`` for a gather, with no Python frame between
 (MULCC's spelled-out product excepted). Binding the 31-point kernel's 130
 views costs about 20 us, against about 65 us for its bound calls at 33
-columns, so a schedule keeps its last plain run's slot array of at most
-``_SPARE_ELEMENTS`` for its next run at that width. That serves the wave
-levels of plans with a tile level or a larger slot array; a plan whose slot
-arrays are all that small keeps its own (``pfadft.pfa``). Calls that are
-kept multiply by each MUL wave's constant column widened once into a
+columns, so calls bound to a plain slot array of at most
+``_SPARE_ELEMENTS`` may be kept: a plan keeps them as its program when
+every level of its pass has one (``pfadft.pfa``). Calls that are kept
+multiply by each MUL wave's constant column widened once into a
 C-contiguous block of the wave's shape, shared by every kept binding of
 the schedule at that width: numpy multiplies a (270, 33) complex block by
 it in about 7 us, against 13-17 us by the column, to the same bits. Calls
@@ -413,7 +412,7 @@ WAVE_COLUMNS = 512
 _WAVE_ELEMENTS = 2 ** 19
 #: columns per tile when a wider block runs op by op
 TILE = 4096
-#: most elements (512 KiB) of a slot array kept for the next run: enough for the approximate
+#: most elements (512 KiB) of a slot array whose calls are kept: enough for the approximate
 #: and exact leaves of a batch-1 1023-point plan, not the 31-point by-definition leaf
 _SPARE_ELEMENTS = 2 ** 15
 
@@ -441,7 +440,6 @@ class CompiledWaves(NamedTuple):
     out: np.ndarray  # rows holding the n_out outputs
     layout: tuple  # (call builder, out, src1, src2, constant) calls on slot row slices
     n_stage: int   # staging rows needed past n_rows
-    spare: dict    # width -> (slot array, its bound calls) of the last plain run, if small
     wide: dict     # width -> {layout position: MUL constants widened} of the last kept binding
 
 
@@ -505,7 +503,7 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
         layout += calls
     out = [row[value[s]] for s in range(sched.out_base, sched.out_base + sched.n_out)]
     return CompiledWaves(tuple(waves), n_rows, np.array(out, dtype=np.intp), tuple(layout),
-                         n_stage, {}, {})
+                         n_stage, {})
 
 
 def _kept(S: np.ndarray) -> bool:
@@ -544,27 +542,25 @@ def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
 
 
 def _run_waves(cw: CompiledWaves, x: np.ndarray) -> np.ndarray:
-    """Run the bound calls over a slot array whose first rows hold x. A
-    plain block takes the spare of its width, if any: the pop hands it to
-    one run at a time. A metered block binds its own, whose views carry x's tally."""
-    plain = type(x) is np.ndarray
-    S, calls = cw.spare.pop(x.shape[1], (None, None)) if plain else (None, None)
-    if S is None:
-        S = np.empty_like(x, shape=(cw.n_rows + cw.n_stage, x.shape[1]))
-        calls = _bind(cw, S)
+    """Run the calls bound to a fresh slot array whose first rows hold x;
+    a metered block's slot array, and so its views, carry x's tally."""
+    S = np.empty_like(x, shape=(cw.n_rows + cw.n_stage, x.shape[1]))
     S[: x.shape[0]] = x
+    _call(_bind(cw, S))
+    return S.take(cw.out, axis=0)
+
+
+def _call(calls) -> None:
+    """Make each bound (numpy callable, arguments) call in turn."""
     for fn, args in calls:
         fn(*args)
-    y = S.take(cw.out, axis=0)
-    if _kept(S):
-        cw.spare.clear()
-        cw.spare[x.shape[1]] = S, calls
-    return y
 
 
 def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
     """Run an (n_in, rows, B) block op by op over tiles of at most ``TILE``
     columns: whole batch rows, or a part of one row when B exceeds ``TILE``.
+    Each tile's outputs go to ``write(r, b, y)``, y an (n_out, len(r), len(b))
+    array the callee may overwrite, for the tile's batch rows and columns r, b.
 
     Ops read the input rows in place and write only the other slots, each
     written before it is read (``Schedule`` checks both), so the slot array
@@ -584,35 +580,25 @@ def _run_tiles(sched: Schedule, x: np.ndarray, write) -> None:
             write(r, b, s[sched.out_base - n_in: sched.out_base - n_in + sched.n_out])
 
 
-def run_numpy(sched: Schedule, x: np.ndarray, write=None):
-    """Vectorized executor over an (n_in, batch) or (n_in, rows, B) block.
+def as_waves(sched: Schedule, width: int) -> bool:
+    """Whether a block of this many columns runs as the schedule's compiled
+    waves: at most ``WAVE_COLUMNS``, on a slot array no larger than one
+    tile's or ``_WAVE_ELEMENTS``, whichever is more. Other blocks run op by
+    op over tiles."""
+    return width <= WAVE_COLUMNS and (sched.n_in + len(sched.ops)) * width <= max(
+        sched.n_slots * TILE, _WAVE_ELEMENTS)
 
-    Blocks of at most ``WAVE_COLUMNS`` columns run as the schedule's
-    compiled waves, unless their slot array would exceed both one tile's
-    and ``_WAVE_ELEMENTS``; other blocks run op by op over tiles.
-    A ``Metered`` block stays metered through either form.
 
-    Without ``write`` the outputs come back as a fresh (n_out, ...) array.
-    With it, None is returned and each tile's outputs go to
-    ``write(r, b, y)``: y is an (n_out, len(r), len(b)) array for the batch
-    rows ``r`` and batch columns ``b`` (slices) that the tile covers, which
-    the callee may overwrite. The wave form passes the whole block as one
-    tile.
-    """
+def run_numpy(sched: Schedule, x: np.ndarray) -> np.ndarray:
+    """Vectorized executor over an (n_in, batch) block, in the form that
+    ``as_waves`` picks; the outputs come back as a fresh (n_out, batch)
+    array. A ``Metered`` block stays metered through either form."""
     x = np.asanyarray(x, dtype=np.complex128, order="C")
-    x3 = x[:, None] if x.ndim == 2 else x
-    n_in, rows, B = x3.shape
-    out = None
-    if write is None:
-        out = np.empty_like(x, shape=(sched.n_out,) + x.shape[1:])
-        o3 = out.reshape(sched.n_out, rows, B)
+    if as_waves(sched, x.shape[1]):
+        return _run_waves(sched.waves, x)
+    out = np.empty_like(x, shape=(sched.n_out, x.shape[1]))
 
-        def write(r, b, y):
-            o3[:, r, b] = y
-    if rows * B <= WAVE_COLUMNS and (n_in + len(sched.ops)) * rows * B <= max(
-            sched.n_slots * TILE, _WAVE_ELEMENTS):
-        y = _run_waves(sched.waves, x3.reshape(n_in, rows * B))
-        write(slice(0, rows), slice(0, B), y.reshape(sched.n_out, rows, B))
-    else:
-        _run_tiles(sched, x3, write)
+    def write(r, b, y):
+        out[:, b] = y[:, 0]
+    _run_tiles(sched, x[:, None], write)
     return out

@@ -24,7 +24,7 @@ from pfadft.pfa import (ExecutionPlan, Leaf, Node, apply_kernel_fast, assemble_s
                         build_index_maps, dense_matrix, execute, fast_exact,
                         instrumented_count, leaf_schedule, plan, plan_from_json,
                         plan_to_json, tree_leaves)
-from pfadft.schedule import TILE, WAVE_COLUMNS, Metered, metered
+from pfadft.schedule import TILE, WAVE_COLUMNS, Metered, metered, run_numpy
 
 COPRIME_PAIRS = [(2, 3), (3, 5), (5, 13), (11, 3), (31, 33), (2, 1023)]
 
@@ -620,8 +620,23 @@ NAMED_1023 = ("exact", "exact-definition", "unscaled", "scaled", "csd") + tuple(
 
 
 def _per_level_pass(p, x):
-    """``execute`` by the per-level pass that metered and tile-width blocks take."""
-    return pfa._run_tree(p.tree, p.scale_mode, x.reshape(p.n, -1)).reshape(x.shape)
+    """``execute`` by a reference pass over the CRT grid in leaf order:
+    gather by the forward map, run each leaf's schedule along its axis with
+    ``run_numpy``, the last leaf first, scatter by the inverse map and scale.
+    Every element goes through the same IEEE operations as in ``execute``,
+    so the two agree bit for bit."""
+    lengths = [leaf.n for leaf in tree_leaves(p.tree)]
+    imap = build_index_maps(*lengths)
+    grid = x.reshape(p.n, -1)[imap.forward].reshape(*lengths, -1)
+    for axis in reversed(range(len(lengths))):
+        rows = np.moveaxis(grid, axis, 0)
+        y = run_numpy(leaf_schedule(tree_leaves(p.tree)[axis]), rows.reshape(lengths[axis], -1))
+        grid = np.moveaxis(y.reshape(rows.shape), 0, axis)
+    out = np.empty((p.n, grid.shape[-1]), dtype=np.complex128)
+    out[imap.inverse] = grid.reshape(p.n, -1)
+    if p.scale_mode != "none":
+        out *= assemble_scale(p).values()[:, None]
+    return out.reshape(x.shape)
 
 
 def _assert_program_matches_pass(p, rng, width=1):
@@ -647,8 +662,8 @@ def test_batch_1_program_matches_the_per_level_pass(name):
 @pytest.mark.parametrize("kind", ["approx", "exact"])
 def test_programs_are_kept_only_within_the_spare_bound(kind):
     # the widest block whose slot array, staging rows included, holds at
-    # most _SPARE_ELEMENTS runs as a kept program; one column more takes
-    # the per-level pass, which keeps no program
+    # most _SPARE_ELEMENTS keeps its calls as a program; at one column
+    # more the pass keeps none
     p = ExecutionPlan(Leaf(31, kind), "csd")
     cw = leaf_schedule(Leaf(31, kind)).waves
     widest = schedule._SPARE_ELEMENTS // (cw.n_rows + cw.n_stage)
@@ -663,6 +678,31 @@ def test_programs_are_kept_only_within_the_spare_bound(kind):
 @given(coprime_plans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_random_tree_programs_match_the_per_level_pass(text, seed, width):
     _assert_program_matches_pass(plan_from_json(text), np.random.default_rng(seed), width)
+
+
+@pytest.mark.parametrize("width", [2, 7])
+@pytest.mark.parametrize("variant", ["csd", "exact", "hybrid-VI-csd"])
+def test_wave_and_tile_levels_match_the_per_level_pass(variant, width):
+    # the named plan runs its 3-point level first, as tiles, then the 11-point
+    # one (waves at batch 2 only) and the 31-point one as waves; the same
+    # leaves in the other order run waves first and tiles last. Such runs
+    # keep no program, and a metered block takes the same pass
+    p = plan(1023, variant)
+    leaves = tree_leaves(p.tree)
+    q = ExecutionPlan(Node(leaves[2], Node(leaves[1], leaves[0])), p.scale_mode)
+    rng = np.random.default_rng(width)
+    for r, forms in ((p, [False, width == 2, True]), (q, [True, width == 2, False])):
+        assert forms == [schedule.as_waves(leaf_schedule(leaf), r.n // leaf.n * width)
+                         for leaf in reversed(tree_leaves(r.tree))]
+        for x in [random_complex(rng, r.n, width).reshape(r.n, width),
+                  *zero_sign_blocks(rng, r.n, width).values()]:
+            want = _per_level_pass(r, x).tobytes()
+            assert execute(r, x).tobytes() == want
+            assert execute(r, np.asfortranarray(x)).tobytes() == want
+            assert width not in pfa._PROGRAMS.get(r.tree, {})
+            m = metered(x)
+            assert execute(r, m).view(np.ndarray).tobytes() == want
+            assert m.op_count() == width * count_plan(r)
 
 
 def test_plans_sharing_a_leaf_at_two_widths_bind_once(monkeypatch):
@@ -701,8 +741,7 @@ def test_non_finite_batch_1_input_is_rejected_before_any_run(monkeypatch):
     x = rng.standard_normal(1023) + 1j * rng.standard_normal(1023)
     execute(p, x)  # keep a program for the rejected calls to leave alone
     with monkeypatch.context() as m:
-        for name in ("_run_program", "_run_tree"):
-            m.setattr(pfa, name, lambda *a: pytest.fail("a pass ran on non-finite input"))
+        m.setattr(pfa, "_run_tree", lambda *a: pytest.fail("a pass ran on non-finite input"))
         for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
             for width in (None, 1):
                 z = x.copy()
@@ -728,7 +767,8 @@ def test_batch_1_outputs_are_fresh_arrays(variant):
     second = execute(p, z)
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept  # the later call did not write into it
-    for slots in pfa._PROGRAMS[p.tree][1][1:4:2]:  # the first and last levels' slot arrays
+    forward, head, calls, last, order = pfa._PROGRAMS[p.tree][1]
+    for slots in (head, last):  # views of the first and last levels' slot arrays
         assert not np.shares_memory(second, slots)
 
 

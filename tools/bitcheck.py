@@ -13,15 +13,17 @@ ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 meter's memoized charges are read at new widths. ``execute`` also runs at
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
-every zero in the output, and then at batch 7 and 33, so each leaf
-schedule's waves run at new widths in the same process. Each 1023-point
-plan then runs at batch 1 once more, after the 31-point plan of the same
-kind (``execute-b1-after-31``), so its kept batch-1 program is reused after
-another tree has run the 31-point leaf's schedule. It also saves the
-op stream of 16 compiled schedules, the 3-, 11- and 31-point approximate,
-exact and definition leaves and dense approximate kernels, and the 1-, 2-
-and 5-point exact leaves and the 5-point definition leaf, which compile by
-definition: each op's code, dst, src1 and src2, and its constant's bytes.
+every zero in the output, and then at batch 2, 7 and 33, so each leaf
+schedule's waves run at new widths in the same process (at batch 2 the
+named 1023-point plans run two wave levels after a tile level). Each
+1023-point plan then runs at batch 1 once more, after the 31-point plan
+of the same kind (``execute-b1-after-31``), so the program a batch-1 run
+kept is replayed after another tree has run the 31-point leaf's schedule.
+It also saves the op stream of 16 compiled schedules, the 3-, 11- and
+31-point approximate, exact and definition leaves and dense approximate
+kernels, and the 1-, 2- and 5-point exact leaves and the 5-point
+definition leaf, which compile by definition: each op's code, dst, src1
+and src2, and its constant's bytes.
 Arrays above 4096 entries are stored as the SHA-256 of their bytes.
 ``compare`` exits 1 on any missing item or bit difference.
 """
@@ -113,6 +115,7 @@ def dump(src_root, out):
         for kind, z in zero_sign_inputs(x, rng).items():
             put(f"{name}/execute-{kind}-b1", pfadft.execute(p, z[:, :1]))
             put(f"{name}/execute-{kind}-b64", pfadft.execute(p, z))
+        put(f"{name}/execute-b2", pfadft.execute(p, x[:, :2]))
         put(f"{name}/execute-b7", pfadft.execute(p, x[:, :7]))
         put(f"{name}/execute-b33", pfadft.execute(p, x[:, :33]))
         if p.n == 1023:
