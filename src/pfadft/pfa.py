@@ -26,14 +26,16 @@ its slot array and writes by one ``take`` by a flat index, then on the last
 level multiplies by the scale in place; a tile level writes each tile
 rotated, or on the last level scales it and scatters it to the output. So
 each grid value is written by the gather, the leaf arithmetic and one write
-per level, with no transposed copy. Where a plain block runs every level as
-waves on slot arrays small enough to keep (n = 1023 at batch 1), its calls
-are kept as the tree's program for that width and later runs replay them
-(one codelet per plan, as in FFTW: Frigo & Johnson, Proc. IEEE 2005). The
-leaf calls always run right to left over the leaf sequence, so every
-element goes through the same IEEE operations in any layout or form. The
-same leaf calls count operations: ``instrumented_count`` runs ``execute``
-on a metered array, which keeps no calls, against a plain run.
+per level, with no transposed copy. Where a block runs every level as
+waves on slot arrays small enough to keep (n = 1023 at batch 1), the pass
+is made once as the tree's program for that width, its slot arrays and
+indices, and each kind of run, plain or metered, binds its calls to those
+slot arrays at its first run; later runs replay them (one codelet per
+plan, as in FFTW: Frigo & Johnson, Proc. IEEE 2005). The leaf calls always
+run right to left over the leaf sequence, so every element goes through
+the same IEEE operations in any layout or form. The same leaf calls count
+operations: ``instrumented_count`` runs ``execute`` on a metered array
+against a plain run, and at batch 1 both replay the tree's one program.
 
 What a plan computes depends on its leaf set, not on the tree's shape.
 Entry (K, k) of the composed matrix is the product over the leaves of
@@ -58,6 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +69,7 @@ from .design import _SCALE_MODES, AssembledScale
 from .exactdft import (KERNEL_LENGTHS, MAX_DEFINITION_LENGTH, _is_integer, a_stage_matrix,
                        derive_core, dft_matrix)
 from .kernels import factorization, kernel, kernel_eta
-from .schedule import OpCount, Schedule, compile_stages, metered
+from .schedule import Metered, OpCount, Schedule, compile_stages, metered
 
 #: rows of a plan's matrix built at a time by ``dense_matrix`` and the row
 #: tables of ``pfadft.analysis``, which bounds their memory
@@ -307,18 +310,51 @@ def fast_exact(n: int, x) -> np.ndarray:
     return _run_leaf(Leaf(n, "exact"), x)
 
 
-#: tree -> {batch: program} of the tree's last run that kept its calls
+class _Program(NamedTuple):
+    """A tree's pass at one width whose every level runs as waves on a slot
+    array that ``schedule._kept`` takes: the slot arrays and indices, made
+    once, and the calls bound to them for each kind of run, plain or
+    metered, at its first run. The metered calls charge ``tally``."""
+
+    forward: np.ndarray  # the CRT map that gathers the input into head
+    head: np.ndarray     # the first level's input rows
+    steps: tuple         # (compiled waves, slot array, hand-off call or None) per level
+    last: np.ndarray     # the last level's slot array, flat
+    order: np.ndarray    # the flat indices in last of the outputs, in output order
+    calls: dict          # np.ndarray or Metered -> the calls of that kind of run
+    tally: list          # [mults, adds, shifts] charged by one metered run's calls
+
+
+#: tree -> {batch: program} of the last width the tree ran at as a program
 _PROGRAMS = {}
+
+
+def _grid_maps(levels):
+    """The forward map that gathers the input into the first level's grid,
+    the leaf axes in level order, and the inverse map of the last level's
+    grid, which holds the first leaf's axis, then the others reversed."""
+    forward = build_index_maps(*(leaf.n for leaf in levels)).forward
+    inverse = build_index_maps(levels[-1].n, *(leaf.n for leaf in levels[:-1])).inverse
+    return forward, inverse
+
+
+def _slot_shape(leaf: Leaf, width: int):
+    """The shape of a level's slot array at this many columns, or None if
+    its block runs as tiles."""
+    sched = leaf_schedule(leaf)
+    if not schedule.as_waves(sched, width):
+        return None
+    return sched.waves.n_rows + sched.waves.n_stage, width
 
 
 def _level(leaf: Leaf, x: np.ndarray):
     """A level's slot array if its block runs as waves, else None, and its
     input rows as a C-contiguous (n, B) block like x."""
-    sched, (n, B) = leaf_schedule(leaf), x.shape
-    if not schedule.as_waves(sched, n // leaf.n * B):
+    n, B = x.shape
+    shape = _slot_shape(leaf, n // leaf.n * B)
+    if shape is None:
         return None, np.empty_like(x, order="C")
-    S = np.empty_like(x, shape=(sched.waves.n_rows + sched.waves.n_stage, n // leaf.n * B),
-                      order="C")
+    S = np.empty_like(x, shape=shape, order="C")
     return S, S[: leaf.n].reshape(n, B)
 
 
@@ -327,68 +363,135 @@ def _columns(at: np.ndarray, B: int) -> np.ndarray:
     return at.reshape(-1) if B == 1 else np.add.outer(at, np.arange(B)).reshape(-1)
 
 
+def _wave_outputs(leaf: Leaf, S: np.ndarray, B: int, nxt, inverse):
+    """Where a wave level's outputs go: the ``take`` call that writes output
+    (i, r, b) in S to the next level's input rows nxt at (r, i, b), or on
+    the last level (nxt None) the flat indices in S of the outputs in output
+    order, output (i, r, b) landing at inverse[i * R + r]."""
+    R = len(inverse) // leaf.n
+    # at[i, r]: the flat index in S of output row i, batch row r, column 0
+    at = leaf_schedule(leaf).waves.out[:, None] * S.shape[1] + np.arange(R) * B
+    if nxt is not None:
+        return schedule._take(nxt.reshape(-1), S.reshape(-1), None, _columns(at.T, B))
+    order = np.empty(len(inverse), dtype=np.intp)
+    order[inverse] = at.reshape(-1)
+    return _columns(order, B)
+
+
+def _program(levels, n: int, B: int):
+    """The pass of these levels over (n, B) blocks as a program with no
+    calls bound yet, or None unless every level runs as waves on a slot
+    array that ``schedule._kept`` takes."""
+    shapes = [_slot_shape(leaf, n // leaf.n * B) for leaf in levels]
+    if not all(shape is not None and schedule._kept(shape) for shape in shapes):
+        return None
+    forward, inverse = _grid_maps(levels)
+    slots = [np.empty(shape, dtype=np.complex128) for shape in shapes]
+    rows = [S[: leaf.n].reshape(n, B) for leaf, S in zip(levels, slots)]
+    outputs = [_wave_outputs(leaf, S, B, nxt, inverse)
+               for leaf, S, nxt in zip(levels, slots, rows[1:] + [None])]
+    steps = tuple(zip([leaf_schedule(leaf).waves for leaf in levels], slots,
+                      outputs[:-1] + [None]))
+    return _Program(forward, rows[0], steps, slots[-1].reshape(-1), outputs[-1], {}, [0, 0, 0])
+
+
+def _program_calls(program: _Program, kind) -> list:
+    """The program's calls for a run of this kind, np.ndarray or Metered,
+    bound at its first such run: a metered run's to ``Metered`` views of
+    the same slot arrays, which charge the program's tally."""
+    calls = program.calls.get(kind)
+    if calls is None:
+        calls = []
+        for cw, S, hand_off in program.steps:
+            if kind is Metered:
+                S = S.view(Metered)
+                S.tally = program.tally
+            calls += schedule._bind(cw, S)
+            if hand_off is not None:
+                calls.append(hand_off)
+        program.calls[kind] = calls
+    return calls
+
+
 def _run_tree(tree, mode: str, x):
     """Apply the tree transform, scaled in ``mode``, to an (n, B) block in
-    one pass of the rotating layout (see the module docstring). A level of
-    an m-point leaf reads an (m, R, B) block and writes an (R, m, B) one; a
-    metered block stays metered throughout. A plain run pops the tree's
-    program of its width, so runs never share one, and keeps its own if
-    every level ran as waves on a slot array that ``schedule._kept`` takes."""
+    one pass of the rotating layout (see the module docstring). A plain or
+    metered block pops the tree's program of its width, or makes one if
+    ``_program`` can, so runs never share one, replays it and keeps it as
+    the tree's program. A metered replay zeroes the program's tally, runs
+    the metered calls and adds the tally into the block's own, which the
+    output carries. Other blocks run ``_run_levels``."""
     n, B = x.shape
     levels = tree_leaves(tree)[::-1]  # the last leaf's level runs first
     scale = None if mode == "none" else _assembled_scale(tree, mode).values()
-    program = _PROGRAMS.get(tree, {}).pop(B, None) if type(x) is np.ndarray else None
-    if program is not None:
-        forward, head, calls, last, order = program
-        x.take(forward, 0, head, "clip")
-        schedule._call(calls)
+    kind = type(x)
+    program = None
+    if kind is np.ndarray or kind is Metered:
+        program = _PROGRAMS.get(tree, {}).pop(B, None) or _program(levels, n, B)
+    if program is None:
+        return _run_levels(levels, x, scale)
+    calls = _program_calls(program, kind)
+    if kind is Metered:
+        program.tally[:] = (0, 0, 0)
+    x.take(program.forward, 0, program.head, "clip")
+    schedule._call(calls)
+    out = program.last.take(program.order).reshape(n, B)
+    if kind is Metered:
+        schedule._charge(x.tally, program.tally, 1)
+        out = out.view(Metered)
+        out.tally = x.tally
+    if scale is not None:
+        np.multiply(out, scale[:, None], out=out)
+    _PROGRAMS[tree] = {B: program}
+    return out
+
+
+def _run_levels(levels, x, scale):
+    """The pass level by level, keeping nothing: a level of an m-point leaf
+    reads an (m, R, B) block and writes an (R, m, B) one, a wave level by
+    calls bound to its own slot array and dropped once they ran. A metered
+    block stays metered throughout. A one-leaf tree's tiles read x in place
+    and write the output rows by slice."""
+    n, B = x.shape
+    forward, inverse = _grid_maps(levels)
+    if len(levels) == 1 and _slot_shape(levels[0], B) is None:
+        S, rows = None, np.asanyarray(x, order="C")  # a one-leaf grid is x itself
     else:
-        forward = build_index_maps(*(leaf.n for leaf in levels)).forward
-        # the last level's grid holds the first leaf's axis, then the others reversed
-        inverse = build_index_maps(levels[-1].n, *(leaf.n for leaf in levels[:-1])).inverse
         S, rows = _level(levels[0], x)
         x.take(forward, 0, rows, "clip")
-        head, calls, last = rows, [], None  # calls run so far while every level keeps its own
-        for k, leaf in enumerate(levels):
-            m, R = leaf.n, n // leaf.n
-            S_next, nxt = _level(levels[k + 1], x) if k + 1 < len(levels) else (None, None)
-            if S is None or not schedule._kept(S):
-                head = calls = None
-            if S is None:  # tiles, whose outputs rotate into nxt, or scale and scatter
-                if nxt is not None:
-                    def write(r, b, y, dest=nxt.reshape(R, m, B)):
-                        dest[r, :, b] = y.transpose(1, 0, 2)
-                else:
-                    out, positions = np.empty_like(x, order="C"), inverse.reshape(m, R)
-                    tile_scale = None if scale is None else scale[positions, None]
-
-                    def write(r, b, y):
-                        if tile_scale is not None:
-                            np.multiply(y, tile_scale[:, r], out=y)
-                        out[positions[:, r], b] = y
-                schedule._run_tiles(leaf_schedule(leaf), rows.reshape(m, R, B), write)
+    last = None
+    for k, leaf in enumerate(levels):
+        m, R = leaf.n, n // leaf.n
+        S_next, nxt = _level(levels[k + 1], x) if k + 1 < len(levels) else (None, None)
+        if S is None:  # tiles, whose outputs rotate into nxt, or scale and scatter
+            if nxt is not None:
+                def write(r, b, y, dest=nxt.reshape(R, m, B)):
+                    dest[r, :, b] = y.transpose(1, 0, 2)
             else:
-                cw = leaf_schedule(leaf).waves
-                # at[i, r]: the flat index in S of output row i, batch row r, column 0
-                at = cw.out[:, None] * S.shape[1] + np.arange(R) * B
-                ran = schedule._bind(cw, S)
-                if nxt is not None:  # output (i, r, b) is the next level's input (r, i, b)
-                    ran.append(schedule._take(nxt.reshape(-1), S.reshape(-1), None,
-                                              _columns(at.T, B)))
-                else:  # output (i, r, b) lands at inverse[i * R + r]
-                    last, order = S.reshape(-1), np.empty(n, dtype=np.intp)
-                    order[inverse] = at.reshape(-1)
-                    order = _columns(order, B)
-                schedule._call(ran)
-                calls = None if calls is None else calls + ran
-                del ran  # no view of this S past its level, unless kept
-            S, rows = S_next, nxt
+                out, positions = np.empty_like(x, order="C"), inverse.reshape(m, R)
+                tile_scale = None if scale is None else scale[positions, None]
+
+                def write(r, b, y):
+                    if tile_scale is not None:
+                        np.multiply(y, tile_scale[:, r], out=y)
+                    if len(levels) == 1:
+                        out[:, b] = y[:, 0]
+                    else:
+                        out[positions[:, r], b] = y
+            schedule._run_tiles(leaf_schedule(leaf), rows.reshape(m, R, B), write)
+        else:
+            ran = schedule._bind(leaf_schedule(leaf).waves, S)
+            if nxt is not None:  # output (i, r, b) is the next level's input (r, i, b)
+                ran.append(_wave_outputs(leaf, S, B, nxt, inverse))
+            else:
+                last, order = S.reshape(-1), _wave_outputs(leaf, S, B, None, inverse)
+            schedule._call(ran)
+            del ran  # no view of this S past its level
+        S, rows = S_next, nxt
     if last is not None:  # the last level ran as waves
         out = last.take(order).reshape(n, B)
         if scale is not None:
             np.multiply(out, scale[:, None], out=out)
-    if calls is not None:
-        _PROGRAMS[tree] = {B: (forward, head, calls, last, order)}
     return out
 
 
@@ -411,6 +514,16 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
     return y[:, 0] if single else y
 
 
+@lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """The fixed seed-0 complex signal of length n that ``instrumented_count``
+    runs, made once and read-only."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x.flags.writeable = False
+    return x
+
+
 def instrumented_count(plan_: ExecutionPlan) -> OpCount:
     """Run ``execute`` once on a metered signal and return what it charged.
 
@@ -418,9 +531,7 @@ def instrumented_count(plan_: ExecutionPlan) -> OpCount:
     as a plain one: gather, waves or tiles, rotated writes and the scale. Its
     output must equal the plain run's bit for bit.
     """
-    rng = np.random.default_rng(0)
-    n = plan_.n
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = _probe(plan_.n)
     m = metered(x)
     if not np.array_equal(execute(plan_, m), execute(plan_, x)):
         raise AssertionError("metered run disagrees with the plain run")

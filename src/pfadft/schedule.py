@@ -29,15 +29,16 @@ as a numpy callable and its arguments with the output by position: a ufunc,
 or the slot array's own ``take`` for a gather, with no Python frame between
 (MULCC's spelled-out product excepted). Binding the 31-point kernel's 130
 views costs about 20 us, against about 65 us for its bound calls at 33
-columns, so calls bound to a plain slot array of at most
-``_SPARE_ELEMENTS`` may be kept: a plan keeps them as its program when
-every level of its pass has one (``pfadft.pfa``). Calls that are kept
-multiply by each MUL wave's constant column widened once into a
-C-contiguous block of the wave's shape, shared by every kept binding of
-the schedule at that width: numpy multiplies a (270, 33) complex block by
-it in about 7 us, against 13-17 us by the column, to the same bits. Calls
-bound for one run, and metered ones, keep the column, so the meter sees
-one constant per row.
+columns, so calls bound to a slot array of at most ``_SPARE_ELEMENTS`` may
+be kept: a plan keeps its pass as a program when every level has one, and
+binds a plain and a metered set of calls to the same slot arrays
+(``pfadft.pfa``). Plain calls on such a slot array multiply by each MUL
+wave's constant column widened once into a C-contiguous block of the
+wave's shape, shared by every such binding of the schedule at that width:
+numpy multiplies a (270, 33) complex block by it in about 7 us, against
+13-17 us by the column, to the same bits. Calls on a larger slot array,
+and metered ones, kept or not, keep the column, so the meter sees one
+constant per row.
 
 A wide block runs the list op by op over ``TILE`` (4096) column tiles of
 one reused slot array, which keeps the rows each op touches in cache; the
@@ -271,21 +272,23 @@ class Metered(np.ndarray):
         self.tally = getattr(obj, "tally", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        args = [a.view(np.ndarray) if isinstance(a, Metered) else a for a in inputs]
+        args = [a.view(np.ndarray) if type(a) is Metered else a for a in inputs]
         if out is not None:
-            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Metered) else o
-                                  for o in out)
-        result = getattr(ufunc, method)(*args, **kwargs)
+            kwargs["out"] = tuple([o.view(np.ndarray) if type(o) is Metered else o for o in out])
         if method != "__call__":
-            return result
-        if out is None and isinstance(result, np.ndarray):
-            result = result.view(Metered)
-            result.tally = self.tally
-        target = result if out is None else out[0]
-        if ufunc in (np.add, np.subtract):
+            return getattr(ufunc, method)(*args, **kwargs)
+        result = ufunc(*args, **kwargs)
+        if out is not None:
+            target = out[0]  # the caller's own object, metered or not
+        elif isinstance(result, np.ndarray):
+            target = result.view(Metered)
+            target.tally = self.tally
+        else:
+            target = result
+        if ufunc is np.add or ufunc is np.subtract:
             _charge(self.tally, (0, 2, 0), target.size)
         elif ufunc is np.multiply:
-            consts = [a for a in inputs if not isinstance(a, Metered)]
+            consts = [a for a in inputs if type(a) is not Metered]
             if len(consts) != 1:
                 raise TypeError("a metered product needs one constant operand")
             c = np.asarray(consts[0], dtype=np.complex128)
@@ -307,8 +310,10 @@ def metered(x) -> Metered:
 def _charge(tally, charge, elements):
     """Add each part of charge times the element count to a tally, if any."""
     if tally is not None:
-        for i, k in enumerate(charge):
-            tally[i] += k * elements
+        mults, adds, shifts = charge
+        tally[0] += mults * elements
+        tally[1] += adds * elements
+        tally[2] += shifts * elements
 
 
 def _naf_weight(m: int) -> int:
@@ -506,10 +511,10 @@ def _compile_waves(sched: Schedule) -> CompiledWaves:
                          n_stage, {})
 
 
-def _kept(S: np.ndarray) -> bool:
-    """Whether the calls bound to slot array S are kept for later runs: S is
-    plain and holds at most ``_SPARE_ELEMENTS``."""
-    return type(S) is np.ndarray and S.size <= _SPARE_ELEMENTS
+def _kept(shape: tuple) -> bool:
+    """Whether calls bound to a slot array of this shape are kept for later
+    runs: it holds at most ``_SPARE_ELEMENTS``."""
+    return shape[0] * shape[1] <= _SPARE_ELEMENTS
 
 
 def _widened(cw: CompiledWaves, width: int) -> dict:
@@ -532,11 +537,11 @@ def _bind(cw: CompiledWaves, S: np.ndarray) -> list:
     """The layout's calls on views of the slot array S, as (numpy callable,
     arguments) pairs. Only src1, the data a metered product needs, is a view
     of S itself; the others are views of S's plain ndarray, which keeps a
-    metered run cheap. Calls that are kept multiply by ``_widened``
-    constants, which numpy multiplies about twice as fast as the column,
-    to the same bits."""
+    metered run cheap. Plain calls on a slot array that ``_kept`` takes
+    multiply by ``_widened`` constants, which numpy multiplies about twice
+    as fast as the column, to the same bits; metered calls keep the column."""
     P = S.view(np.ndarray)
-    wide = _widened(cw, S.shape[1]) if _kept(S) else {}
+    wide = _widened(cw, S.shape[1]) if type(S) is np.ndarray and _kept(S.shape) else {}
     return [call(P[o], S[a], b if b is None else P[b], wide.get(k, c))
             for k, (call, o, a, b, c) in enumerate(cw.layout)]
 

@@ -767,8 +767,8 @@ def test_batch_1_outputs_are_fresh_arrays(variant):
     second = execute(p, z)
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept  # the later call did not write into it
-    forward, head, calls, last, order = pfa._PROGRAMS[p.tree][1]
-    for slots in (head, last):  # views of the first and last levels' slot arrays
+    program = pfa._PROGRAMS[p.tree][1]
+    for slots in (program.head, program.last):  # views of the first and last levels' slot arrays
         assert not np.shares_memory(second, slots)
 
 

@@ -591,6 +591,17 @@ def test_meter_leaves_other_ufuncs_free():
         m * m
 
 
+def test_in_place_metered_arithmetic_returns_the_operand():
+    # the hook returns the caller's own out object, so m keeps its meter
+    m = metered(np.ones((3, 2)))
+    same = m
+    m *= np.array([[0.5], [1.0], [0.25]])
+    assert m is same and type(m) is Metered
+    assert np.add(m, m, out=m) is m
+    # 2 shifts for each of the two products by 1/2, 2 adds for each of the six sums
+    assert m.op_count() == OpCount(0, 2 * 6, 2 * 2)
+
+
 @pytest.mark.parametrize("name", ["31-approx", "11-exact", "3-definition"])
 def test_meter_counts_the_tiled_form(name, monkeypatch):
     sched = SCHEDULES[name]()

@@ -8,9 +8,11 @@
 ground plans (3, 11 and 31 points) and the 36 tree x kind plans over
 {3, 11, 31}: ``execute`` on a 1-D signal and at batch 1 and 64,
 ``dense_matrix``, the scale values of scaled plans, and the
-``count_plan``/``instrumented_count`` triples, followed by a metered
-``execute`` at batch 7 and 33 (its output and its op-count triple), so the
-meter's memoized charges are read at new widths. ``execute`` also runs at
+``count_plan``/``instrumented_count`` triples. A metered ``execute`` at
+batch 1 follows a plain one (``metered-b1-replay``, its output and its
+op-count triple), so where the tree keeps a program the metered run
+replays it; then a metered ``execute`` at batch 7 and 33, so the meter's
+memoized charges are read at new widths. ``execute`` also runs at
 batch 1 and 64 on a real-valued input, a purely imaginary one, impulses
 and a random mix of +0 and -0, so the byte comparison gates the sign of
 every zero in the output, and then at batch 2, 7 and 33, so each leaf
@@ -126,6 +128,10 @@ def dump(src_root, out):
             put(f"{name}/scale", pfadft.assemble_scale(p).values())
         put(f"{name}/count", np.array(pfadft.count_plan(p).as_tuple()))
         put(f"{name}/instrumented", np.array(pfadft.instrumented_count(p).as_tuple()))
+        pfadft.execute(p, x[:, :1])
+        m = pfadft.schedule.metered(x[:, :1])
+        put(f"{name}/metered-b1-replay", np.asarray(pfadft.execute(p, m)))
+        put(f"{name}/metered-b1-replay/count", np.array(m.op_count().as_tuple()))
         for width in (7, 33):
             m = pfadft.schedule.metered(x[:, :width])
             put(f"{name}/metered-b{width}", np.asarray(pfadft.execute(p, m)))

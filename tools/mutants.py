@@ -5,9 +5,11 @@
 Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory, applies each mutation below to that copy of ``src/`` in turn, and
 runs ``tests/test_schedule.py`` and ``tests/test_complexity.py`` against it.
-Each mutation prices an operation wrongly in exactly one of the two
-independent counts (the static opcode table or the meter), so the tests must
-fail on every one. The unmutated copy runs first and must pass. Exits 1 if
+Each of the first four mutations prices an operation wrongly in exactly one
+of the two independent counts (the static opcode table or the meter); the
+fifth leaves the tally of a replayed metered program un-reset, so each
+replay also charges what the runs before it charged. The tests must fail on
+every one. The unmutated copy runs first and must pass. Exits 1 if
 it fails, if a mutant survives, or if a mutation no longer matches the
 source exactly once.
 """
@@ -22,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_schedule.py", "tests/test_complexity.py"]
 SCHEDULE = "src/pfadft/schedule.py"
+PFA = "src/pfadft/pfa.py"
 
 #: name -> (file, text, mutated text)
 MUTANTS = {
@@ -31,6 +34,8 @@ MUTANTS = {
     "mul-shifts-doubled": (SCHEDULE, "2 * halves)", "4 * halves)"),
     # the meter memoizes a product's charge, which must not hide a wrong price
     "meter-half-shifts-doubled": (SCHEDULE, "return (0, 0, 2)", "return (0, 0, 4)"),
+    "replay-tally-not-reset": (PFA, "program.tally[:] = (0, 0, 0)",
+                               "program.tally[:] = program.tally"),
 }
 
 
