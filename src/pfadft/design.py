@@ -152,17 +152,16 @@ def scale_vector(t: np.ndarray) -> AssembledScale:
     """Row-normalizing scale for a low-complexity matrix, in exact mode.
 
     Entry i is sqrt(n / sum_k |t_ik|^2), the diagonal that restores each
-    row to the row norm of the exact transform.
+    row to the row norm of the exact transform. Rows with the same sum
+    share one radicand object.
     """
     n = t.shape[0]
-    rads = []
-    for i in range(n):
-        # entries are multiples of 1/2, so 4*|t|^2 is integral
-        s4 = int(round(4.0 * float(np.sum(np.abs(t[i]) ** 2))))
-        if s4 == 0:
-            raise ValueError(f"row {i} is zero; scale undefined")
-        rads.append(Fraction(4 * n, s4))
-    return AssembledScale(tuple(rads), "exact")
+    # entries are multiples of 1/2, so each row's 4*sum |t|^2 is an exact integer
+    s4 = np.rint(4.0 * (t.real ** 2 + t.imag ** 2).sum(axis=1)).astype(np.int64).tolist()
+    if 0 in s4:
+        raise ValueError(f"row {s4.index(0)} is zero; scale undefined")
+    rads = {s: Fraction(4 * n, s) for s in set(s4)}
+    return AssembledScale(tuple(rads[s] for s in s4), "exact")
 
 
 def error_energy(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -257,11 +256,13 @@ def sweep_alpha(n: int, step: float = 1e-5):
     # The quantizer is odd and the sign/zero pattern of F is fixed, so the
     # matrix changes exactly where some distinct entry magnitude u crosses a
     # quantizer threshold. Candidate runs are located from those analytic
-    # breakpoints, then every boundary is confirmed by evaluating the
-    # quantizer at the actual grid points (a full linear scan gives the
-    # identical grouping; the tests keep one as an oracle). Magnitudes that
-    # differ only in the last ulp stay distinct here, which is essential to
-    # the reference run counts.
+    # breakpoints, all of them at once, then every boundary is confirmed by
+    # evaluating the quantizer at the actual grid points, in the same float
+    # operations a per-magnitude loop makes (a full linear scan gives the
+    # identical grouping, and the tests keep both as oracles). Magnitudes
+    # that differ only in the last ulp stay distinct here, which is
+    # essential to the reference run counts. Each candidate is then scaled
+    # and scored on its own.
     mags = np.unique(np.concatenate([np.abs(F.real.ravel()), np.abs(F.imag.ravel())]))
     mags = mags[mags > 0]
     starts = _run_starts(mags, alphas, step)
@@ -280,36 +281,41 @@ def sweep_alpha(n: int, step: float = 1e-5):
     return out
 
 
-def _q_steps(x: float) -> int:
-    """Quantizer level of a positive value: floor(2x + 1/2)."""
-    return int(np.floor(2.0 * x + 0.5))
+#: most window points one block of magnitudes evaluates in ``_run_starts``
+_WINDOW_POINTS = 2 ** 15
 
 
 def _run_starts(mags, alphas, step):
     """Grid indices where some entry magnitude changes quantizer level.
 
-    For magnitude u the level of g(alpha*u) steps where 2*alpha*u crosses
-    m + 1/2; each analytic crossing is refined to the true grid boundary by
-    direct evaluation in a small window (floating-point evaluation can move
-    a boundary by one grid point, never more, since the level is monotone
-    in alpha).
+    For magnitude u the level floor(2*alpha*u + 1/2) of g(alpha*u) steps
+    where alpha crosses (m + 1/2) / (2u). Every such crossing within a step
+    of the grid is found at once, a block of magnitudes at a time, and
+    refined to the true grid boundary by evaluating the level at the grid
+    points around it: the first of the 8 points from max(1, floor((alpha* -
+    lo) / step) - 3) whose level differs from its predecessor's
+    (floating-point evaluation can move a boundary by one grid point, never
+    more, since the level is monotone in alpha). A one-point grid has one
+    run.
     """
+    if len(alphas) < 2:
+        return [0]
     starts = {0}
-    lo = alphas[0]
-    for u in mags:
-        m = 0
-        while True:
-            a_star = (m + 0.5) / (2.0 * u)
-            m += 1
-            if a_star > alphas[-1] + step:
-                break
-            if a_star < lo - step:
-                continue
-            i0 = max(1, int(np.floor((a_star - lo) / step)) - 3)
-            for i in range(i0, min(i0 + 8, len(alphas))):
-                if _q_steps(alphas[i] * u) != _q_steps(alphas[i - 1] * u):
-                    starts.add(i)
-                    break
+    lo, top = alphas[0], alphas[-1] + step
+    levels = np.arange(int(2.0 * np.max(mags) * top) + 2) + 0.5  # m + 1/2
+    window = np.arange(-1, 8)  # each crossing's 8 points and the predecessor of the first
+    block = max(1, _WINDOW_POINTS // (len(window) * len(levels)))
+    for k in range(0, len(mags), block):
+        u = mags[k:k + block, None]
+        a_star = levels / (2.0 * u)
+        near = (a_star >= lo - step) & (a_star <= top)
+        u, a_star = np.broadcast_to(u, a_star.shape)[near], a_star[near]
+        i0 = np.maximum(1, np.floor((a_star - lo) / step).astype(np.intp) - 3)
+        i = i0[:, None] + window
+        q = np.floor(2.0 * (alphas[np.minimum(i, len(alphas) - 1)] * u[:, None]) + 0.5)
+        hit = (q[:, 1:] != q[:, :-1]) & (i[:, 1:] < len(alphas))
+        found, first = hit.any(axis=1), hit.argmax(axis=1)
+        starts.update(i[found, first[found] + 1].tolist())
     return sorted(starts)
 
 

@@ -327,6 +327,10 @@ class _Program(NamedTuple):
 
 #: tree -> {batch: program} of the last width the tree ran at as a program
 _PROGRAMS = {}
+#: levels -> {batch: {level: wave output index}} of the last width a pass of
+#: these levels ran at outside a program, where an index holds n * batch
+#: entries, at most ``schedule._SPARE_ELEMENTS``
+_INDICES = {}
 
 
 def _grid_maps(levels):
@@ -363,16 +367,16 @@ def _columns(at: np.ndarray, B: int) -> np.ndarray:
     return at.reshape(-1) if B == 1 else np.add.outer(at, np.arange(B)).reshape(-1)
 
 
-def _wave_outputs(leaf: Leaf, S: np.ndarray, B: int, nxt, inverse):
-    """Where a wave level's outputs go: the ``take`` call that writes output
-    (i, r, b) in S to the next level's input rows nxt at (r, i, b), or on
-    the last level (nxt None) the flat indices in S of the outputs in output
-    order, output (i, r, b) landing at inverse[i * R + r]."""
+def _wave_index(leaf: Leaf, width: int, B: int, inverse, last: bool) -> np.ndarray:
+    """The flat indices of a wave level's outputs in its slot array of this
+    many columns: in the next level's input row order, output (i, r, b)
+    going to row (r, i, b), or on the last level in output order, output
+    (i, r, b) landing at inverse[i * R + r]."""
     R = len(inverse) // leaf.n
-    # at[i, r]: the flat index in S of output row i, batch row r, column 0
-    at = leaf_schedule(leaf).waves.out[:, None] * S.shape[1] + np.arange(R) * B
-    if nxt is not None:
-        return schedule._take(nxt.reshape(-1), S.reshape(-1), None, _columns(at.T, B))
+    # at[i, r]: the flat index in the slot array of output row i, batch row r, column 0
+    at = leaf_schedule(leaf).waves.out[:, None] * width + np.arange(R) * B
+    if not last:
+        return _columns(at.T, B)
     order = np.empty(len(inverse), dtype=np.intp)
     order[inverse] = at.reshape(-1)
     return _columns(order, B)
@@ -388,11 +392,12 @@ def _program(levels, n: int, B: int):
     forward, inverse = _grid_maps(levels)
     slots = [np.empty(shape, dtype=np.complex128) for shape in shapes]
     rows = [S[: leaf.n].reshape(n, B) for leaf, S in zip(levels, slots)]
-    outputs = [_wave_outputs(leaf, S, B, nxt, inverse)
-               for leaf, S, nxt in zip(levels, slots, rows[1:] + [None])]
-    steps = tuple(zip([leaf_schedule(leaf).waves for leaf in levels], slots,
-                      outputs[:-1] + [None]))
-    return _Program(forward, rows[0], steps, slots[-1].reshape(-1), outputs[-1], {}, [0, 0, 0])
+    index = [_wave_index(leaf, S.shape[1], B, inverse, k == len(levels) - 1)
+             for k, (leaf, S) in enumerate(zip(levels, slots))]
+    hand_offs = [schedule._take(nxt.reshape(-1), S.reshape(-1), None, at)
+                 for S, nxt, at in zip(slots, rows[1:], index)]
+    steps = tuple(zip([leaf_schedule(leaf).waves for leaf in levels], slots, hand_offs + [None]))
+    return _Program(forward, rows[0], steps, slots[-1].reshape(-1), index[-1], {}, [0, 0, 0])
 
 
 def _program_calls(program: _Program, kind) -> list:
@@ -447,13 +452,16 @@ def _run_tree(tree, mode: str, x):
 
 
 def _run_levels(levels, x, scale):
-    """The pass level by level, keeping nothing: a level of an m-point leaf
-    reads an (m, R, B) block and writes an (R, m, B) one, a wave level by
-    calls bound to its own slot array and dropped once they ran. A metered
-    block stays metered throughout. A one-leaf tree's tiles read x in place
-    and write the output rows by slice."""
+    """The pass level by level: a level of an m-point leaf reads an
+    (m, R, B) block and writes an (R, m, B) one, a wave level by calls
+    bound to its own slot array and dropped once they ran. Only the wave
+    levels' output indices are kept, in ``_INDICES``, where they hold at
+    most ``schedule._SPARE_ELEMENTS`` entries. A metered block stays metered
+    throughout. A one-leaf tree's tiles read x in place and write the output
+    rows by slice."""
     n, B = x.shape
     forward, inverse = _grid_maps(levels)
+    indices = _INDICES.get(levels, {}).get(B, {})
     if len(levels) == 1 and _slot_shape(levels[0], B) is None:
         S, rows = None, np.asanyarray(x, order="C")  # a one-leaf grid is x itself
     else:
@@ -481,13 +489,17 @@ def _run_levels(levels, x, scale):
             schedule._run_tiles(leaf_schedule(leaf), rows.reshape(m, R, B), write)
         else:
             ran = schedule._bind(leaf_schedule(leaf).waves, S)
+            if k not in indices:
+                indices[k] = _wave_index(leaf, S.shape[1], B, inverse, nxt is None)
             if nxt is not None:  # output (i, r, b) is the next level's input (r, i, b)
-                ran.append(_wave_outputs(leaf, S, B, nxt, inverse))
+                ran.append(schedule._take(nxt.reshape(-1), S.reshape(-1), None, indices[k]))
             else:
-                last, order = S.reshape(-1), _wave_outputs(leaf, S, B, None, inverse)
+                last, order = S.reshape(-1), indices[k]
             schedule._call(ran)
             del ran  # no view of this S past its level
         S, rows = S_next, nxt
+    if n * B <= schedule._SPARE_ELEMENTS:
+        _INDICES[levels] = {B: indices}
     if last is not None:  # the last level ran as waves
         out = last.take(order).reshape(n, B)
         if scale is not None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfadft import design
 from pfadft.design import (CandidateApproximation, alpha_interval,
@@ -79,6 +80,16 @@ class TestScaleVector:
         with pytest.raises(ValueError):
             scale_vector(M)
 
+    def test_first_zero_row_named(self):
+        M = np.eye(4, dtype=complex)
+        M[1:3] = 0
+        with pytest.raises(ValueError, match="row 1 is zero"):
+            scale_vector(M)
+
+    def test_rows_with_one_sum_share_a_radicand(self):
+        rads = scale_vector(candidate_matrix(31, 9 / 8)).radicands
+        assert len({id(r) for r in rads}) == 2
+
 
 class TestMetrics:
     def test_identical_matrices(self):
@@ -133,6 +144,65 @@ def _scan_oracle(n, step, lo, hi):
     return runs
 
 
+def _run_starts_loop(mags, alphas, step):
+    """The breakpoint search one magnitude and one level at a time, the
+    scalar form of ``design._run_starts``: its oracle."""
+    def q_steps(x):
+        return int(np.floor(2.0 * x + 0.5))
+
+    starts = {0}
+    lo = alphas[0]
+    for u in mags:
+        m = 0
+        while True:
+            a_star = (m + 0.5) / (2.0 * u)
+            m += 1
+            if a_star > alphas[-1] + step:
+                break
+            if a_star < lo - step:
+                continue
+            i0 = max(1, int(np.floor((a_star - lo) / step)) - 3)
+            for i in range(i0, min(i0 + 8, len(alphas))):
+                if q_steps(alphas[i] * u) != q_steps(alphas[i - 1] * u):
+                    starts.add(i)
+                    break
+    return sorted(starts)
+
+
+def _sweep_inputs(n, step):
+    """The distinct nonzero entry magnitudes and the grid ``sweep_alpha`` uses."""
+    F = dft_matrix(n)
+    mags = np.unique(np.concatenate([np.abs(F.real.ravel()), np.abs(F.imag.ravel())]))
+    lo, hi = design.SWEEP_INTERVAL
+    return mags[mags > 0], lo + step * np.arange(int(np.rint((hi - lo) / step)) + 1)
+
+
+class TestRunStarts:
+    @pytest.mark.parametrize("n", [3, 11, 31, 127])
+    @pytest.mark.parametrize("step", [1e-5, 1e-3, (1.25 - 0.26) / 99, 2.0])
+    def test_matches_the_scalar_loop(self, n, step):
+        mags, alphas = _sweep_inputs(n, step)
+        assert design._run_starts(mags, alphas, step) == _run_starts_loop(mags, alphas, step)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 40), st.floats(1e-5, 0.5))
+    def test_matches_the_scalar_loop_anywhere(self, n, step):
+        mags, alphas = _sweep_inputs(n, step)
+        assert design._run_starts(mags, alphas, step) == _run_starts_loop(mags, alphas, step)
+
+    def test_memory_is_bounded_by_blocks(self):
+        # n = 509 has 106 570 distinct magnitudes; confirming all their
+        # crossings at once would hold several times that many window points
+        mags, alphas = _sweep_inputs(509, 1e-5)
+        tracemalloc.start()
+        try:
+            starts = design._run_starts(mags, alphas, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(starts) > 1 and peak < 8 << 20
+
+
 class TestSweep:
     @pytest.mark.parametrize("n,count", [(3, 6), (11, 16), (31, 42)])
     def test_candidate_counts(self, n, count):
@@ -141,6 +211,11 @@ class TestSweep:
     def test_single_sample_when_step_exceeds_interval(self):
         cands = sweep_alpha(3, step=2.0)
         assert len(cands) == 1
+
+    def test_step_far_beyond_the_interval_gives_one_sample(self):
+        # one grid point has one run, however far its crossings lie
+        cands = sweep_alpha(3, step=1e300)
+        assert len(cands) == 1 and cands[0].alpha_lo == cands[0].alpha_hi == 0.26
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -178,7 +253,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="more than 100 grid points"):
             sweep_alpha(3, step=(hi - lo) / 100)
 
-    @pytest.mark.parametrize("n", [3, 11])
+    @pytest.mark.parametrize("n", [3, 11, 31])
     def test_matches_literal_scan(self, n):
         # verify the breakpoint search against the obvious linear scan on a
         # coarser grid (same grouping rule, same arithmetic)

@@ -674,6 +674,23 @@ def test_programs_are_kept_only_within_the_spare_bound(kind):
         assert (width in pfa._PROGRAMS.get(p.tree, {})) == (width == widest)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_passes_outside_a_program_keep_only_small_output_indices(monkeypatch, width):
+    # with the bound at one 1023-point column no csd pass keeps a program;
+    # the pass at batch 1 keeps its wave levels' output indices, which the
+    # later runs reuse, and the pass at batch 2 keeps none
+    monkeypatch.setattr(schedule, "_SPARE_ELEMENTS", 1023)
+    monkeypatch.setattr(pfa, "_PROGRAMS", {})
+    monkeypatch.setattr(pfa, "_INDICES", {})
+    p = plan(1023, "csd")
+    _assert_program_matches_pass(p, np.random.default_rng(width), width)
+    assert pfa._PROGRAMS == {}
+    levels = tree_leaves(p.tree)[::-1]
+    assert list(pfa._INDICES) == ([levels] if width == 1 else [])
+    if width == 1:  # every level runs as waves
+        assert {B: sorted(index) for B, index in pfa._INDICES[levels].items()} == {1: [0, 1, 2]}
+
+
 @settings(deadline=None, max_examples=25)
 @given(coprime_plans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_random_tree_programs_match_the_per_level_pass(text, seed, width):

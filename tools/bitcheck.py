@@ -25,7 +25,11 @@ It also saves the op stream of 16 compiled schedules, the 3-, 11- and
 31-point approximate, exact and definition leaves and dense approximate
 kernels, and the 1-, 2- and 5-point exact leaves and the 5-point
 definition leaf, which compile by definition: each op's code, dst, src1
-and src2, and its constant's bytes.
+and src2, and its constant's bytes. Last come the expansion-factor sweeps
+of the 3-, 11- and 31-point transforms at the default step and of the
+11-point one at step 1e-3 (``sweep/<n>/<step>/<k>``): each candidate's
+alpha interval, matrix, radicand numerators and denominators, scale values
+and error triple.
 Arrays above 4096 entries are stored as the SHA-256 of their bytes.
 ``compare`` exits 1 on any missing item or bit difference.
 """
@@ -39,6 +43,7 @@ import numpy as np
 VARIANTS = ("exact", "exact-definition", "unscaled", "scaled", "csd") + tuple(
     f"hybrid-{leg}-{mode}" for leg in ("I", "II", "III", "IV", "V", "VI")
     for mode in ("scaled", "csd"))
+SWEEPS = ((3, 1e-5), (11, 1e-5), (31, 1e-5), (11, 1e-3))
 KIND_SETS = ({31: "approx", 11: "approx", 3: "approx"},
              {31: "exact", 11: "approx", 3: "approx"},
              {31: "approx", 11: "definition", 3: "exact"})
@@ -140,6 +145,15 @@ def dump(src_root, out):
         put(f"schedule/{name}/ops", np.array(
             [(op.code, op.dst, op.src1, op.src2) for op in sched.ops], dtype=np.int64))
         put(f"schedule/{name}/constants", np.array([op.c for op in sched.ops], np.complex128))
+    for n, step in SWEEPS:
+        for k, c in enumerate(pfadft.sweep_alpha(n, step)):
+            key = f"sweep/{n}/{step:g}/{k}"
+            put(f"{key}/alpha", np.array([c.alpha_lo, c.alpha_hi]))
+            put(f"{key}/t_matrix", c.t_matrix)
+            put(f"{key}/radicands", np.array(
+                [(r.numerator, r.denominator) for r in c.scale.radicands], dtype=np.int64))
+            put(f"{key}/scale", c.scale.values())
+            put(f"{key}/metrics", np.array(c.metrics.as_tuple()))
     np.savez(out, **items)
     print(f"{len(items)} items written to {out}")
 

@@ -1,15 +1,16 @@
-"""Mutation check of the operation counts.
+"""Mutation check of the operation counts and the sweep breakpoints.
 
     python tools/mutants.py
 
 Copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory, applies each mutation below to that copy of ``src/`` in turn, and
-runs ``tests/test_schedule.py`` and ``tests/test_complexity.py`` against it.
-Each of the first four mutations prices an operation wrongly in exactly one
-of the two independent counts (the static opcode table or the meter); the
-fifth leaves the tally of a replayed metered program un-reset, so each
-replay also charges what the runs before it charged. The tests must fail on
-every one. The unmutated copy runs first and must pass. Exits 1 if
+runs ``tests/test_schedule.py``, ``tests/test_complexity.py`` and
+``tests/test_design.py`` against it. Each of the first four mutations
+prices an operation wrongly in exactly one of the two independent counts
+(the static opcode table or the meter); the fifth leaves the tally of a
+replayed metered program un-reset, so each replay also charges what the
+runs before it charged; the sixth confirms each expansion-factor boundary
+of the sweep one grid point late. The tests must fail on every one. The unmutated copy runs first and must pass. Exits 1 if
 it fails, if a mutant survives, or if a mutation no longer matches the
 source exactly once.
 """
@@ -22,9 +23,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_schedule.py", "tests/test_complexity.py"]
+TESTS = ["tests/test_schedule.py", "tests/test_complexity.py", "tests/test_design.py"]
 SCHEDULE = "src/pfadft/schedule.py"
 PFA = "src/pfadft/pfa.py"
+DESIGN = "src/pfadft/design.py"
 
 #: name -> (file, text, mutated text)
 MUTANTS = {
@@ -36,6 +38,8 @@ MUTANTS = {
     "meter-half-shifts-doubled": (SCHEDULE, "return (0, 0, 2)", "return (0, 0, 4)"),
     "replay-tally-not-reset": (PFA, "program.tally[:] = (0, 0, 0)",
                                "program.tally[:] = program.tally"),
+    "sweep-boundary-late": (DESIGN, "starts.update(i[found, first[found] + 1].tolist())",
+                            "starts.update((i[found, first[found] + 1] + 1).tolist())"),
 }
 
 
