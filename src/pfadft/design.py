@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import MULTIPLIER_MAX, MULTIPLIER_SET, CsdCode, csd_encode, csd_eval
+from .dyadic import MULTIPLIER_MAX, CsdCode, csd_encode, csd_eval
 from .exactdft import MAX_DEFINITION_LENGTH, _is_integer, dft_matrix
 from .schedule import OpCount
 
@@ -80,8 +80,11 @@ def candidate_matrix(n: int, alpha: float) -> np.ndarray:
 
 
 def _entries_in_set(T: np.ndarray) -> bool:
-    allowed = np.array([float(p) for p in MULTIPLIER_SET])
-    return bool(np.all(np.isin(T.real, allowed)) and np.all(np.isin(T.imag, allowed)))
+    """Whether every real and imaginary part of T is in ``dyadic.MULTIPLIER_SET``,
+    the halves k/2 with |k| <= 2: twice its magnitude is integral and at
+    most 2. Both parts are tested in one pass, as the float64 view of T."""
+    twice = 2 * np.abs(np.ascontiguousarray(T, dtype=np.complex128).view(np.float64))
+    return bool(((twice <= 2) & (twice == np.rint(twice))).all())
 
 
 _SCALE_MODES = ("none", "exact", "csd")

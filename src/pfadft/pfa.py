@@ -271,9 +271,15 @@ def assemble_scale(plan_: ExecutionPlan) -> AssembledScale:
 def leaf_schedule(leaf: Leaf) -> Schedule:
     """A leaf's compiled schedule, built once per length and form.
 
-    Approximate leaves and exact 3-, 11- and 31-point leaves take the
-    butterfly form [A, C, A^T], with C from ``factorization(n)`` or
-    ``derive_core`` of the exact DFT. Every other leaf takes the definition
+    Exact 3-, 11- and 31-point leaves take the butterfly form [A, C, A^T],
+    with C from ``derive_core`` of the exact DFT. Approximate leaves take
+    [A, C', J, A^T], with C = J C' for the core C of ``factorization(n)``:
+    the real core C' = C.real + C.imag holds the cosine block and then R of
+    the imaginary block j R, and J = diag(1, ..., 1, j, ..., j) applies j
+    once to each finished imaginary row sum, not once per term. A product
+    by j is exact, so the values are those of [A, C, A^T]; only a zero that
+    sums zeros alone can take the other sign, as -(a + b) and -a - b differ
+    for zeros a, b of opposite signs. Every other leaf takes the definition
     form [dft_matrix(n)], so an exact and a definition leaf of such a length
     share one schedule.
     """
@@ -285,9 +291,12 @@ def leaf_schedule(leaf: Leaf) -> Schedule:
 def _compiled_leaf(n: int, form: str) -> Schedule:
     if form == "definition":
         return compile_stages([dft_matrix(n)], n)
-    core = factorization(n).core if form == "approx" else derive_core(dft_matrix(n))
     A = a_stage_matrix(n)
-    return compile_stages([A, core, A.T], n)
+    if form == "exact":
+        return compile_stages([A, derive_core(dft_matrix(n)), A.T], n)
+    core, h = factorization(n).core, (n - 1) // 2
+    J = np.diag([1.0] * (h + 1) + [1j] * h)
+    return compile_stages([A, core.real + core.imag, J, A.T], n)
 
 
 def _run_leaf(leaf: Leaf, x) -> np.ndarray:
@@ -477,7 +486,9 @@ def _run_levels(levels, x, scale):
                     dest[r, :, b] = y.transpose(1, 0, 2)
             else:
                 out, positions = np.empty_like(x, order="C"), inverse.reshape(m, R)
-                tile_scale = None if scale is None else scale[positions, None]
+                # complex, as numpy multiplies a complex tile by a complex
+                # column faster than by a float one, to the same bits
+                tile_scale = None if scale is None else scale[positions, None].astype(complex)
 
                 def write(r, b, y):
                     if tile_scale is not None:
@@ -520,7 +531,7 @@ def execute(plan_: ExecutionPlan, x) -> np.ndarray:
         x = x[:, None]
     if x.shape[0] != plan_.n:
         raise ValueError(f"input length {x.shape[0]} does not match plan n={plan_.n}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     y = _run_tree(plan_.tree, plan_.scale_mode, x)
     return y[:, 0] if single else y

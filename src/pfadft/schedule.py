@@ -15,15 +15,15 @@ complex constant, spelled out). Each op carries one complex constant: CP its
 sign, MUL and MULCC their multiplier. The compiler propagates copies and
 negations into their consumers instead of running them (see
 ``compile_stages``), as FFTW's codelet generator does (Frigo, PLDI 1999):
-the approximate 31-, 11- and 3-point kernels hold 721, 101 and 9 ops, not
-798, 128 and 16. Only free ops go, so no count moves.
+the approximate 31-, 11- and 3-point kernels hold 616, 91 and 9 ops, not
+717, 127 and 19. Only free ops go, so no count moves.
 
 The numpy executor runs a list in one of two forms, chosen by the width of
 the block. A narrow block runs as compiled waves: every write gets a fresh
 row, each op sits one level above its operands, and the ops of one level
 and opcode run as one numpy call. Operands whose rows form no arithmetic
-progression are copied first, by one gather per level, so the 721 ops of
-the 31-point approximate kernel run as 34 wave calls and 15 gathers. The
+progression are copied first, by one gather per level, so the 616 ops of
+the 31-point approximate kernel run as 36 wave calls and 15 gathers. The
 calls are laid out at compile time and bound to views of a slot array, each
 as a numpy callable and its arguments with the output by position: a ufunc,
 or the slot array's own ``take`` for a gather, with no Python frame between
@@ -153,9 +153,10 @@ class Schedule:
     @cached_property
     def steps(self) -> tuple:
         """The list as (call builder, dst, src1, src2, constant) steps of the
-        op-by-op tile form."""
-        return tuple((_OPCODES[op.code].call, op.dst, op.src1, op.src2, op.c)
-                     for op in self.ops)
+        op-by-op tile form. A MUL constant is a 0-d complex128 array, which
+        numpy takes without converting it at every call."""
+        return tuple((_OPCODES[op.code].call, op.dst, op.src1, op.src2,
+                      np.array(op.c) if op.code == MUL else op.c) for op in self.ops)
 
 
 def _classify(z: complex):
@@ -394,6 +395,15 @@ def _np_mulcc(out, z, b, c):
     np.add(z.real * p - z.imag * q, 1j * (z.real * q + z.imag * p), out=out.view(np.ndarray))
 
 
+def _copy(out, a, b, sign):
+    # on the float64 views where both last axes are contiguous: numpy copies
+    # or negates a 4096-column complex row in about 8 us, and its float64
+    # view in about 2 us, to the same bits
+    if a.strides[-1] == out.strides[-1] == a.itemsize:
+        a, out = a.view(np.float64), out.view(np.float64)
+    return np.positive if sign > 0 else np.negative, (a, out)
+
+
 def _take(out, a, b, rows):
     # the rows are in range and apart from out, so "clip" writes straight to
     # out; the default mode copies through a buffer first
@@ -402,8 +412,7 @@ def _take(out, a, b, rows):
 
 # every call but MULCC's is one numpy ufunc, its output passed by position
 _OPCODES = {
-    CP: _OpKind(lambda c: _FREE, lambda out, a, b, c: (
-        np.positive if c > 0 else np.negative, (a, out))),
+    CP: _OpKind(lambda c: _FREE, _copy),
     ADD: _OpKind(lambda c: _ADDS, lambda out, a, b, c: (np.add, (a, b, out))),
     SUB: _OpKind(lambda c: _ADDS, lambda out, a, b, c: (np.subtract, (a, b, out))),
     MUL: _OpKind(_mul_cost, lambda out, a, b, c: (np.multiply, (a, c, out))),

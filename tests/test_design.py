@@ -10,6 +10,7 @@ from pfadft.design import (CandidateApproximation, alpha_interval,
                            candidate_matrix, error_energy, mape,
                            orth_deviation, quantize_half, scale_vector,
                            select_optimal, sweep_alpha)
+from pfadft.dyadic import MULTIPLIER_SET
 from pfadft.exactdft import MAX_DEFINITION_LENGTH, dft_matrix
 
 
@@ -49,6 +50,25 @@ class TestCandidateMatrix:
     def test_overshoot_at_exact_endpoint_rejected(self):
         with pytest.raises(ValueError):
             candidate_matrix(3, 1.25)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_set_membership_matches_isin(self, seed):
+        # random half-integer matrices, some entries swapped for +-0, NaN,
+        # +-3/2 or +-inf, against np.isin over the multiplier set
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        odd = np.array([0.0, -0.0, np.nan, 1.5, -1.5, np.inf, -np.inf, 0.25])
+        for p in (0.0, 0.002, 0.05):
+            parts = rng.integers(-2, 3, (2, *shape)) / 2
+            hit = rng.random(parts.shape) < p
+            parts[hit] = rng.choice(odd, hit.sum())
+            T = np.empty(shape, dtype=np.complex128)
+            T.real, T.imag = parts
+            allowed = [float(v) for v in MULTIPLIER_SET]
+            want = bool(np.isin(T.real, allowed).all() and np.isin(T.imag, allowed).all())
+            assert design._entries_in_set(T) is want
+            assert design._entries_in_set(T.T) is want  # not C-contiguous
+            assert design._entries_in_set(parts[0]) is bool(np.isin(parts[0], allowed).all())
 
     def test_conjugation_symmetry(self):
         # quantization commutes with conjugation, so candidate matrices keep

@@ -774,6 +774,28 @@ def test_non_finite_batch_1_input_is_rejected_before_any_run(monkeypatch):
     assert hashlib.sha256(execute(p, x).tobytes()).hexdigest() == run.stdout.strip()
 
 
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_imaginary_part_is_rejected(bad, batch):
+    p = plan(1023, "csd")
+    x = random_complex(np.random.default_rng(13), 1023, batch).reshape(1023, batch)
+    x[700, batch - 1] = complex(x[700, batch - 1].real, bad)
+    for z in (x, metered(x)):
+        with pytest.raises(ValueError, match="non-finite"):
+            execute(p, z)
+
+
+def test_finite_metered_and_strided_inputs_are_accepted():
+    p = plan(1023, "csd")
+    x = random_complex(np.random.default_rng(14), 1023, 8)
+    want = execute(p, x[:, ::2].copy())
+    # a strided batch, whose float64 view numpy would refuse, and its metered copy
+    assert execute(p, x[:, ::2]).tobytes() == want.tobytes()
+    m = metered(x[:, ::2])
+    assert execute(p, m).tobytes() == want.tobytes()
+    assert m.op_count() == 4 * count_plan(p)
+
+
 @pytest.mark.parametrize("variant", ["csd", "unscaled", "exact"])
 def test_batch_1_outputs_are_fresh_arrays(variant):
     p = plan(1023, variant)

@@ -10,9 +10,12 @@ prices an operation wrongly in exactly one of the two independent counts
 (the static opcode table or the meter); the fifth leaves the tally of a
 replayed metered program un-reset, so each replay also charges what the
 runs before it charged; the sixth confirms each expansion-factor boundary
-of the sweep one grid point late. The tests must fail on every one. The unmutated copy runs first and must pass. Exits 1 if
-it fails, if a mutant survives, or if a mutation no longer matches the
-source exactly once.
+of the sweep one grid point late; the last two price a product by +-j at 2
+mults, in the table or in the meter, so the J stage of the approximate
+leaves must stay free in both counts. The tests must fail on every one.
+The unmutated copy runs first and must pass. Exits 1 if it fails, if a
+mutant survives, or if a mutation no longer matches the source exactly
+once.
 """
 
 import os
@@ -40,6 +43,8 @@ MUTANTS = {
                                "program.tally[:] = program.tally"),
     "sweep-boundary-late": (DESIGN, "starts.update(i[found, first[found] + 1].tolist())",
                             "starts.update((i[found, first[found] + 1] + 1).tolist())"),
+    "table-j-priced": (SCHEDULE, "parts.count(1.0)", "0"),
+    "meter-j-priced": (SCHEDULE, "if v in (0.0, 1.0):", "if v in (0.0,):"),
 }
 
 
